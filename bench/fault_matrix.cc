@@ -9,8 +9,8 @@
  * fired fault as detected (autm / bounds), tolerated, silent, or — the
  * thing this harness exists to forbid — a simulator fault. Fault
  * classes that target structures a configuration does not have (HBT
- * corruption under the baseline, say) are skipped, matching the
- * applicability filter inside AosSystem.
+ * corruption under the baseline, say) are skipped: the jobs cover
+ * exactly each MechanismSpec's applicable fault classes.
  *
  * Gates (nonzero exit):
  *   - any job fails or times out;
@@ -42,18 +42,6 @@ constexpr Mechanism kMechs[] = {
 constexpr unsigned kNumMechs = sizeof(kMechs) / sizeof(kMechs[0]);
 
 constexpr u64 kSeeds[] = {1, 2};
-
-/** Fault classes that apply to a mechanism (mirrors AosSystem). */
-bool
-applies(FaultType type, Mechanism mech)
-{
-    const bool aos =
-        mech == Mechanism::kAos || mech == Mechanism::kPaAos;
-    const u32 bit = faultinject::faultBit(type);
-    if (bit & (faultinject::kMetadataFaults | faultinject::kMcuFaults))
-        return aos;
-    return true;
-}
 
 struct Cell
 {
@@ -95,7 +83,8 @@ main()
     for (unsigned t = 0; t < faultinject::kNumFaultTypes; ++t) {
         for (unsigned m = 0; m < kNumMechs; ++m) {
             const auto type = static_cast<FaultType>(t);
-            if (!applies(type, kMechs[m]))
+            if (!(faultinject::faultBit(type) &
+                  baselines::mechanismSpec(kMechs[m]).faultClasses))
                 continue;
             for (const u64 seed : kSeeds) {
                 campaign::Job job;

@@ -70,7 +70,7 @@ main()
                                 static_cast<double>(base.core.cycles);
             geo[i].add(norm);
             if (i == 3)
-                resizes = r.resizes;
+                resizes = r.hbt.resizes;
             std::printf(" %11.3f", norm);
             std::fflush(stdout);
         }

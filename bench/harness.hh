@@ -5,7 +5,7 @@
  * Every harness runs standalone with sensible defaults; the simulated
  * window can be scaled with environment variables:
  *
- *   AOS_SIM_OPS       measured micro-ops per timing run (default 400k)
+ *   AOS_SIM_OPS       measured micro-ops per timing run (default 1M)
  *   AOS_REPLAY_SCALE  divisor for full allocation replays (default 1)
  *
  * Campaign-based harnesses additionally honour:

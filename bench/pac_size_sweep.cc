@@ -62,7 +62,7 @@ main()
         std::printf("%5u %12.3f %12llu %12.3f\n", bits,
                     static_cast<double>(r.core.cycles) /
                         static_cast<double>(baseline.core.cycles),
-                    static_cast<unsigned long long>(r.resizes),
+                    static_cast<unsigned long long>(r.hbt.resizes),
                     r.mcuStats.avgWaysPerCheck());
         std::fflush(stdout);
     }

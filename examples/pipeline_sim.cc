@@ -6,13 +6,14 @@
  * Fig. 14).
  *
  * Usage:  ./build/examples/pipeline_sim [workload] [mechanism] [ops]
- *         mechanism: baseline | watchdog | pa | aos | pa+aos
+ *         mechanism: baseline | watchdog | pa | aos | pa+aos | asan-style
+ *         (any MechanismSpec name, case-insensitive)
  * e.g.:   ./build/examples/pipeline_sim hmmer aos 500000
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <string>
 
 #include "common/logging.hh"
 #include "core/aos_system.hh"
@@ -25,18 +26,13 @@ namespace {
 Mechanism
 parseMechanism(const char *name)
 {
-    if (!std::strcmp(name, "baseline"))
-        return Mechanism::kBaseline;
-    if (!std::strcmp(name, "watchdog"))
-        return Mechanism::kWatchdog;
-    if (!std::strcmp(name, "pa"))
-        return Mechanism::kPa;
-    if (!std::strcmp(name, "aos"))
-        return Mechanism::kAos;
-    if (!std::strcmp(name, "pa+aos"))
-        return Mechanism::kPaAos;
-    fatal("unknown mechanism '%s' (baseline|watchdog|pa|aos|pa+aos)",
-          name);
+    if (const baselines::MechanismSpec *spec =
+            baselines::mechanismByName(name))
+        return spec->mech;
+    std::string names;
+    for (const baselines::MechanismSpec &spec : baselines::mechanismSpecs())
+        names += (names.empty() ? "" : "|") + std::string(spec.name);
+    fatal("unknown mechanism '%s' (%s)", name, names.c_str());
 }
 
 } // namespace
@@ -100,7 +96,7 @@ main(int argc, char **argv)
     std::printf("  network traffic        %12lu bytes (measured window)\n",
                 r.networkTraffic);
 
-    if (mech == Mechanism::kAos || mech == Mechanism::kPaAos) {
+    if (baselines::mechanismSpec(mech).hasHbt) {
         std::printf("\nMCU / bounds:\n");
         std::printf("  checked ops            %12lu\n",
                     r.mcuStats.checkedOps);

@@ -10,7 +10,9 @@
 # processes via AOS_FABRIC_WORKERS, worker/coordinator SIGKILL,
 # resume + byte parity), chaos-engine check (deterministic AOS_CHAOS
 # fault injection with byte parity + the graceful-degradation audit),
-# and clang-tidy lint. Run from the repository root:
+# clang-tidy lint, the multi-tenant scheduler audit, and the simulator
+# benchmark (simbench build, self-tests, traced runs). Run from the
+# repository root:
 #
 #   scripts/check.sh              # everything
 #   AOS_CHECK_SKIP_SANITIZE=1 scripts/check.sh   # skip the ASan pass
@@ -25,18 +27,18 @@ cd "$(dirname "$0")/.."
 
 JOBS="${AOS_CHECK_JOBS:-$(nproc)}"
 
-echo "== [1/13] default build =="
+echo "== [1/14] default build =="
 cmake --preset default
 cmake --build --preset default -j "${JOBS}"
 
-echo "== [2/13] tier-1 tests =="
+echo "== [2/14] tier-1 tests =="
 ctest --preset default -j "${JOBS}"
 
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "${SMOKE_DIR}"' EXIT
 
 if [ "${AOS_CHECK_SKIP_SANITIZE:-0}" != "1" ]; then
-    echo "== [3/13] sanitizer build + fast tests (ASan+UBSan) =="
+    echo "== [3/14] sanitizer build + fast tests (ASan+UBSan) =="
     cmake --preset sanitize
     cmake --build --preset sanitize -j "${JOBS}"
     ctest --preset sanitize -LE slow -j "${JOBS}"
@@ -46,11 +48,11 @@ if [ "${AOS_CHECK_SKIP_SANITIZE:-0}" != "1" ]; then
     AOS_QARMA_KERNEL=scalar ./build-sanitize/tests/pac_vectors_test
     AOS_QARMA_KERNEL=scalar ./build-sanitize/tests/qarma_test
 else
-    echo "== [3/13] sanitizer pass skipped (AOS_CHECK_SKIP_SANITIZE=1) =="
+    echo "== [3/14] sanitizer pass skipped (AOS_CHECK_SKIP_SANITIZE=1) =="
 fi
 
 if [ "${AOS_CHECK_SKIP_SANITIZE:-0}" != "1" ]; then
-    echo "== [4/13] thread-sanitizer pass (TSan) =="
+    echo "== [4/14] thread-sanitizer pass (TSan) =="
     # The campaign worker pool, checkpoint writer and logging sinks are
     # the only concurrent subsystems: build exactly what exercises
     # them, run their suites, then drive a jobs=4 campaign end to end
@@ -71,7 +73,7 @@ if [ "${AOS_CHECK_SKIP_SANITIZE:-0}" != "1" ]; then
     grep -q '"schema": "aos-campaign-v1"' "${SMOKE_DIR}/tsan-smoke.json"
     echo "tsan: concurrency suites OK"
 else
-    echo "== [4/13] TSan pass skipped (AOS_CHECK_SKIP_SANITIZE=1) =="
+    echo "== [4/14] TSan pass skipped (AOS_CHECK_SKIP_SANITIZE=1) =="
 fi
 
 # Strip the timing-only fields (each JSON member is on its own line)
@@ -86,7 +88,7 @@ json_parity() {
     fi
 }
 
-echo "== [5/13] campaign smoke (JSON + jobs=1 vs jobs=4 parity) =="
+echo "== [5/14] campaign smoke (JSON + jobs=1 vs jobs=4 parity) =="
 AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=1 \
     AOS_CAMPAIGN_JSON="${SMOKE_DIR}/serial.json" ./build/bench/campaign_smoke
 AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=4 \
@@ -97,7 +99,7 @@ json_parity "${SMOKE_DIR}/serial.json" "${SMOKE_DIR}/parallel.json" \
     "campaign smoke"
 echo "campaign smoke: parity OK"
 
-echo "== [6/13] fault-matrix smoke (DESIGN.md §8 audit) =="
+echo "== [6/14] fault-matrix smoke (DESIGN.md §8 audit) =="
 # Run the graceful-degradation audit under the sanitizer build when
 # available — injected corruption must be UB-free, not just survivable.
 FAULT_BIN=./build/bench/fault_matrix
@@ -113,7 +115,7 @@ json_parity "${SMOKE_DIR}/fault1.json" "${SMOKE_DIR}/faultN.json" \
     "fault matrix"
 echo "fault matrix: audit + parity OK"
 
-echo "== [7/13] bounds-elision ablation (obligation gates + parity) =="
+echo "== [7/14] bounds-elision ablation (obligation gates + parity) =="
 # The benchmark itself exits non-zero if any ObligationChecker gate
 # fails or elision coverage collapses (DESIGN.md §11); the wrapper adds
 # the determinism contract on top.
@@ -128,7 +130,7 @@ json_parity "${SMOKE_DIR}/belide1.json" "${SMOKE_DIR}/belideN.json" \
     "bounds elision"
 echo "bounds elision: gates + parity OK"
 
-echo "== [8/13] simulator throughput guard =="
+echo "== [8/14] simulator throughput guard =="
 # Smoke-mode run of the host-throughput benchmark against the
 # checked-in baseline: the per-mechanism ops/sec geomeans may not drop
 # more than the guard band below scripts/throughput_baseline.json
@@ -171,7 +173,7 @@ done
 [ "${THROUGHPUT_GUARD_OK}" = "1" ] || exit 1
 echo "throughput guard: OK"
 
-echo "== [9/13] crash-resume (SIGKILL mid-campaign, resume, parity) =="
+echo "== [9/14] crash-resume (SIGKILL mid-campaign, resume, parity) =="
 # Kill a checkpointed campaign once its first record is durable, resume
 # it with AOS_CAMPAIGN_RESUME, and require the canonical JSON to be
 # byte-identical to an uninterrupted run (DESIGN.md §10).
@@ -226,7 +228,7 @@ resume_check fig14 ./build/bench/fig14_exec_time 4 20000
 resume_check fault_matrix "${FAULT_BIN}" 4 20000
 resume_check sim_throughput ./build/bench/sim_throughput 4 20000
 
-echo "== [10/13] distributed fabric (worker processes, kill, resume) =="
+echo "== [10/14] distributed fabric (worker processes, kill, resume) =="
 # The campaign fabric (DESIGN.md §12): the same benches distributed
 # over 4 spawned worker processes must emit canonical JSON
 # byte-identical to the serial run, a SIGKILLed worker must only cost
@@ -336,7 +338,7 @@ if ! cmp -s "${FABRIC_DIR}/fault-serial.json" \
 fi
 echo "  fault_matrix: complete-checkpoint fabric re-run exits clean OK"
 
-echo "== [11/13] chaos engine (fault injection + degradation audit) =="
+echo "== [11/14] chaos engine (fault injection + degradation audit) =="
 # DESIGN.md §13: under a fixed AOS_CHAOS schedule every subsystem must
 # either absorb the injected environment faults (retry/backoff) or
 # abort cleanly — and whenever a campaign reports success its canonical
@@ -396,10 +398,10 @@ if ! cmp -s "${CHAOS_DIR}/audit1.json" "${CHAOS_DIR}/auditN.json"; then
 fi
 echo "  chaos_audit: degradation audit + parity OK"
 
-echo "== [12/13] lint =="
+echo "== [12/14] lint =="
 cmake --build --preset default --target lint
 
-echo "== [13/13] multi-tenant scheduler (isolation audit + parity) =="
+echo "== [13/14] multi-tenant scheduler (isolation audit + parity) =="
 # DESIGN.md §15: the tenant_matrix harness itself exits non-zero unless
 # the cross-tenant isolation audit holds over >= 500 scenarios (zero
 # fingerprint mismatches, zero unprovoked violations, zero
@@ -429,5 +431,17 @@ if [ "${AOS_CHECK_SKIP_SANITIZE:-0}" != "1" ]; then
         ./build-sanitize/bench/tenant_matrix > /dev/null
     echo "  tenant_matrix: adversarial fleets sanitizer-clean OK"
 fi
+
+echo "== [14/14] simulator benchmark (simbench build, self-tests, traced runs) =="
+# simbench/ (BENCHMARK.json) compiles the library sources against the
+# public API it drives, and its traced runs replay an independently
+# built pass stack against each job's op mix (and the tenant path's
+# mixTotal). run.py builds the runner and exits non-zero when any job
+# fails or any check disagrees.
+python3 -m unittest discover -s simbench/tests
+for workload in core_timed tenant_churn; do
+    python3 simbench/run.py --workload "${workload}" --seed 1 --trace 1
+done
+echo "  simbench: self-tests + traced core_timed/tenant_churn OK"
 
 echo "All checks passed."

@@ -16,9 +16,11 @@
 #ifndef AOS_BASELINES_SYSTEM_CONFIG_HH
 #define AOS_BASELINES_SYSTEM_CONFIG_HH
 
-#include <string>
+#include <span>
+#include <string_view>
 
 #include "common/types.hh"
+#include "faultinject/fault.hh"
 
 namespace aos {
 class CancelToken;
@@ -36,7 +38,49 @@ enum class Mechanism
     kAsan, //!< ASan-style software checking (motivation, SI).
 };
 
-const char *mechanismName(Mechanism mech);
+/**
+ * One instrumentation pass of a mechanism's pipeline, in the order the
+ * pipeline runs them (os::ProtectionDomain builds the passes; the
+ * OpCounter always follows the last one).
+ */
+enum class PassKind : u8
+{
+    kWatchdog,    //!< WatchdogPass.
+    kPaOnly,      //!< PaPass, PA-only mode.
+    kAosOpt,      //!< AosOptPass.
+    kAosBackend,  //!< AosBackendPass: pacma/bndstr/bndclr lowering.
+    kPaAos,       //!< PaPass, PA+AOS mode.
+    kBoundsElide, //!< AosBoundsElidePass, with options.aosBoundsElision.
+    kAutmElide,   //!< AosElidePass, with options.aosElision.
+    kAsan,        //!< AsanPass.
+};
+
+/**
+ * Everything the simulator knows about one mechanism, in one table row:
+ * a new backend is one row here plus its pass.
+ */
+struct MechanismSpec
+{
+    Mechanism mech;
+    const char *name; //!< Stat prefixes, campaign JSON, command lines.
+    std::span<const PassKind> passes;
+    bool hasHbt; //!< HBT, MCU, BWB and L1-B: the AOS hardware.
+    bool usesPa; //!< Pointer-integrity signing of pointers.
+    faultinject::ProtectionModel protection; //!< Fault grading model.
+    u32 faultClasses; //!< Applicable faultinject::FaultType bits.
+};
+
+/** The table, indexed by Mechanism value. */
+std::span<const MechanismSpec> mechanismSpecs();
+const MechanismSpec &mechanismSpec(Mechanism mech);
+/** Case-insensitive lookup by name; null when no row matches. */
+const MechanismSpec *mechanismByName(std::string_view name);
+
+inline const char *
+mechanismName(Mechanism mech)
+{
+    return mechanismSpec(mech).name;
+}
 
 /** Full system configuration for one simulation run. */
 struct SystemOptions
@@ -75,26 +119,22 @@ struct SystemOptions
     /**
      * Cooperative-cancellation token polled by the simulation loops
      * (common/cancel.hh); null disables the checks. Not owned. Raises
-     * CancelledException from inside run()/fastForward() — callers
-     * (the campaign engine) map it to kTimeout/kCancelled.
+     * CancelledException from the core, the warmup loop and the
+     * bounds-elision analysis — callers (the campaign engine) map it
+     * to kTimeout/kCancelled.
      */
     const CancelToken *cancel = nullptr;
 
     // Fault injection (DESIGN.md §8). faultTypes is a bitmask of
-    // faultinject::FaultType bits; zero disarms the injector. Kept as
-    // plain integers so this header stays dependency-free.
+    // faultinject::FaultType bits; zero disarms the injector. Bits
+    // outside the mechanism's MechanismSpec::faultClasses are dropped.
     u32 faultTypes = 0;       //!< Which fault classes to schedule.
     unsigned faultCount = 1;  //!< Scheduled faults per selected class.
     u64 faultSeed = 0;        //!< Fault-plan RNG seed.
 
-    bool usesAos() const
-    {
-        return mech == Mechanism::kAos || mech == Mechanism::kPaAos;
-    }
-    bool usesPa() const
-    {
-        return mech == Mechanism::kPa || mech == Mechanism::kPaAos;
-    }
+    const MechanismSpec &spec() const { return mechanismSpec(mech); }
+    bool usesAos() const { return spec().hasHbt; }
+    bool usesPa() const { return spec().usesPa; }
 };
 
 } // namespace aos::baselines

@@ -91,6 +91,19 @@ HashedBoundsTable::insert(u64 pac, Compressed record)
     return std::nullopt;
 }
 
+unsigned
+HashedBoundsTable::insertGrowing(u64 pac, Compressed record)
+{
+    auto way = insert(pac, record);
+    while (!way) {
+        if (!resizing())
+            beginResize();
+        finishResize();
+        way = insert(pac, record);
+    }
+    return *way;
+}
+
 std::optional<unsigned>
 HashedBoundsTable::clear(u64 pac, Addr raw_addr)
 {

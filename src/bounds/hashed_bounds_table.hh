@@ -115,6 +115,13 @@ class HashedBoundsTable
     std::optional<unsigned> insert(u64 pac, Compressed record);
 
     /**
+     * insert(), growing the table synchronously whenever the row is
+     * full: the functional model of the bndstr exception, where the OS
+     * completes a resize and the store retries. Returns the way used.
+     */
+    unsigned insertGrowing(u64 pac, Compressed record);
+
+    /**
      * bndclr: find the record whose lower bound equals @p raw_addr and
      * zero it. Returns the way on success, nullopt on failure (double
      * free / invalid free).

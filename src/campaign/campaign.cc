@@ -204,12 +204,10 @@ Campaign::runLocal()
     // One shared bounded MPMC ring (common/mpmc_ring.hh) feeds all
     // workers. Jobs are whole simulations, so per-worker locality never
     // mattered; what does matter is that nothing blocks and nothing is
-    // lost or duplicated — the ring's CAS discipline guarantees that,
-    // and AOS_CAMPAIGN_RING_MUTEX swaps in the mutex fallback for
-    // cross-checking. All jobs are enqueued up front (no job creates
-    // further jobs), so an empty ring means a worker may retire.
-    MpmcRing<u32> ring(std::max<size_t>(total, 1),
-                       envFlag("AOS_CAMPAIGN_RING_MUTEX", false));
+    // lost or duplicated — the ring's CAS discipline guarantees that.
+    // All jobs are enqueued up front (no job creates further jobs), so
+    // an empty ring means a worker may retire.
+    MpmcRing<u32> ring(std::max<size_t>(total, 1));
     for (size_t i = 0; i < total; ++i) {
         if (result.jobs[i].status == JobStatus::kPending) {
             const bool pushed = ring.tryPush(static_cast<u32>(i));

@@ -193,7 +193,7 @@ decodePayload(const unsigned char *data, size_t size, JobResult &r)
     r.attempts = c.u32v();
     r.wallMs = c.f64v();
     const u8 mech = c.u8v();
-    if (mech > static_cast<u8>(baselines::Mechanism::kAsan))
+    if (mech >= baselines::mechanismSpecs().size())
         return false;
     r.mech = static_cast<baselines::Mechanism>(mech);
     r.seed = c.u64v();

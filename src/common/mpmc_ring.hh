@@ -10,14 +10,10 @@
  * upgrade. This is the classic Vyukov bounded MPMC queue: one atomic
  * sequence number per cell, producers CAS the tail, consumers CAS the
  * head, and the sequence tells each side whether the cell is ready for
- * it — no locks, no spurious failures, FIFO per producer.
- *
- * A mutex-based fallback implementation is selectable at construction
- * (the contention stress test runs both and cross-checks behavior, and
- * AOS_CAMPAIGN_RING_MUTEX flips the campaign pool over for field
- * debugging). Both paths share the same bounded/tryPush/tryPop
- * contract: a full ring rejects the push, an empty ring rejects the
- * pop, nothing blocks and nothing is lost or duplicated.
+ * it — no locks, no spurious failures, FIFO per producer. The contract
+ * is bounded tryPush/tryPop: a full ring rejects the push, an empty
+ * ring rejects the pop, nothing blocks and nothing is lost or
+ * duplicated.
  *
  * The element type must be trivially copyable — indices and small POD
  * records; the campaign stores job ids (u32).
@@ -28,9 +24,7 @@
 
 #include <atomic>
 #include <cstddef>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <type_traits>
 
 #include "common/types.hh"
@@ -44,38 +38,24 @@ class MpmcRing
                   "MpmcRing elements must be trivially copyable");
 
   public:
-    /**
-     * @p capacity is rounded up to a power of two (min 2). With
-     * @p mutexFallback the lock-free path is replaced by a mutex-
-     * guarded deque with the same bounded contract.
-     */
-    explicit MpmcRing(size_t capacity, bool mutexFallback = false)
-        : _mask(roundUpPow2(capacity) - 1), _mutexFallback(mutexFallback)
+    /** @p capacity is rounded up to a power of two (min 2). */
+    explicit MpmcRing(size_t capacity)
+        : _mask(roundUpPow2(capacity) - 1),
+          _cells(std::make_unique<Cell[]>(_mask + 1))
     {
-        if (!_mutexFallback) {
-            _cells = std::make_unique<Cell[]>(_mask + 1);
-            for (size_t i = 0; i <= _mask; ++i)
-                _cells[i].seq.store(i, std::memory_order_relaxed);
-        }
+        for (size_t i = 0; i <= _mask; ++i)
+            _cells[i].seq.store(i, std::memory_order_relaxed);
     }
 
     MpmcRing(const MpmcRing &) = delete;
     MpmcRing &operator=(const MpmcRing &) = delete;
 
     size_t capacity() const { return _mask + 1; }
-    bool lockFree() const { return !_mutexFallback; }
 
     /** False when the ring is full. */
     bool
     tryPush(const T &value)
     {
-        if (_mutexFallback) {
-            std::lock_guard<std::mutex> guard(_mutex);
-            if (_deque.size() > _mask)
-                return false;
-            _deque.push_back(value);
-            return true;
-        }
         size_t pos = _tail.load(std::memory_order_relaxed);
         for (;;) {
             Cell &cell = _cells[pos & _mask];
@@ -101,14 +81,6 @@ class MpmcRing
     bool
     tryPop(T &out)
     {
-        if (_mutexFallback) {
-            std::lock_guard<std::mutex> guard(_mutex);
-            if (_deque.empty())
-                return false;
-            out = _deque.front();
-            _deque.pop_front();
-            return true;
-        }
         size_t pos = _head.load(std::memory_order_relaxed);
         for (;;) {
             Cell &cell = _cells[pos & _mask];
@@ -138,10 +110,6 @@ class MpmcRing
     size_t
     size() const
     {
-        if (_mutexFallback) {
-            std::lock_guard<std::mutex> guard(_mutex);
-            return _deque.size();
-        }
         const size_t tail = _tail.load(std::memory_order_acquire);
         const size_t head = _head.load(std::memory_order_acquire);
         return tail >= head ? tail - head : 0;
@@ -164,14 +132,9 @@ class MpmcRing
     }
 
     const size_t _mask;
-    const bool _mutexFallback;
-
     std::unique_ptr<Cell[]> _cells;
     alignas(64) std::atomic<size_t> _head{0};
     alignas(64) std::atomic<size_t> _tail{0};
-
-    mutable std::mutex _mutex;
-    std::deque<T> _deque;
 };
 
 } // namespace aos

@@ -49,16 +49,17 @@ AosRuntime::malloc(u64 size)
     // pacma ptr, sp, size ; bndstr ptr, size (Fig. 7a).
     const Addr signed_ptr = _pa.pacma(raw, _config.spModifier, size);
     const u64 pac = _pa.layout().pac(signed_ptr);
-    auto way = _os.hbt().insert(pac, bounds::compress(raw, size));
-    while (!way) {
-        // bndstr exception: the OS resizes and the store retries.
-        if (!_os.hbt().resizing())
-            _os.hbt().beginResize();
-        _os.hbt().finishResize();
-        ++_stats.hbtResizes;
-        way = _os.hbt().insert(pac, bounds::compress(raw, size));
-    }
+    storeBounds(pac, raw, size);
     return signed_ptr;
+}
+
+void
+AosRuntime::storeBounds(u64 pac, Addr base, u64 size)
+{
+    bounds::HashedBoundsTable &hbt = _os.hbt();
+    const u64 resizes = hbt.stats().resizes;
+    hbt.insertGrowing(pac, bounds::compress(base, size));
+    _stats.hbtResizes += hbt.stats().resizes - resizes;
 }
 
 Status
@@ -203,14 +204,7 @@ AosRuntime::protectStack(Addr frame_addr, u64 size)
         return 0;
     const Addr signed_ptr = _pa.pacmb(raw, _config.spModifier, size);
     const u64 pac = _pa.layout().pac(signed_ptr);
-    auto way = _os.hbt().insert(pac, bounds::compress(raw, size));
-    while (!way) {
-        if (!_os.hbt().resizing())
-            _os.hbt().beginResize();
-        _os.hbt().finishResize();
-        ++_stats.hbtResizes;
-        way = _os.hbt().insert(pac, bounds::compress(raw, size));
-    }
+    storeBounds(pac, raw, size);
     ++_stats.stackProtects;
     return signed_ptr;
 }
@@ -248,14 +242,7 @@ AosRuntime::narrow(Addr signed_parent, u64 offset, u64 len)
         _pa.pacma(field, _config.spModifier ^ kNarrowDiscriminator,
                   span);
     const u64 pac = _pa.layout().pac(signed_field);
-    auto way = _os.hbt().insert(pac, bounds::compress(field, span));
-    while (!way) {
-        if (!_os.hbt().resizing())
-            _os.hbt().beginResize();
-        _os.hbt().finishResize();
-        ++_stats.hbtResizes;
-        way = _os.hbt().insert(pac, bounds::compress(field, span));
-    }
+    storeBounds(pac, field, span);
     ++_stats.narrows;
     return signed_field;
 }

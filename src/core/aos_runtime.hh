@@ -157,6 +157,8 @@ class AosRuntime
   private:
     Status check(Addr ptr);
     Status reportViolation(Status status, Addr ptr);
+    /** bndstr, counting the resizes a full row forces. */
+    void storeBounds(u64 pac, Addr base, u64 size);
 
     RuntimeConfig _config;
     pa::PaContext _pa;

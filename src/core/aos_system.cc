@@ -2,38 +2,12 @@
 
 #include <exception>
 
-#include "analysis/dataflow/engine.hh"
 #include "common/cancel.hh"
-#include "common/logging.hh"
 #include "common/profiler.hh"
-#include "common/random.hh"
-#include "compiler/aos_passes.hh"
-#include "compiler/pa_pass.hh"
-#include "compiler/asan_pass.hh"
-#include "compiler/watchdog_pass.hh"
 
 namespace aos::core {
 
 namespace {
-
-faultinject::ProtectionModel
-protectionModel(baselines::Mechanism mech)
-{
-    switch (mech) {
-      case baselines::Mechanism::kWatchdog:
-        return faultinject::ProtectionModel::kWatchdog;
-      case baselines::Mechanism::kPa:
-        return faultinject::ProtectionModel::kPa;
-      case baselines::Mechanism::kAos:
-        return faultinject::ProtectionModel::kAos;
-      case baselines::Mechanism::kPaAos:
-        return faultinject::ProtectionModel::kPaAos;
-      case baselines::Mechanism::kBaseline:
-      case baselines::Mechanism::kAsan: // ASan detection is not modeled.
-        return faultinject::ProtectionModel::kNone;
-    }
-    return faultinject::ProtectionModel::kNone;
-}
 
 ir::OpMixStats
 mixDelta(const ir::OpMixStats &after, const ir::OpMixStats &before)
@@ -190,323 +164,109 @@ RunResult::dump(std::ostream &os) const
 
 AosSystem::AosSystem(const workloads::WorkloadProfile &profile,
                      const baselines::SystemOptions &options)
-    : _profile(profile), _options(options)
+    : _mech(options.mech), _machine(options, profile.codeFootprint),
+      _domain(0, 0, _machine.pa().keys(),
+              {.profile = profile,
+               .seed = options.seedSalt,
+               .measureOps = options.measureOps,
+               .policy = os::FaultPolicy::kReport,
+               .faultTypes = options.faultTypes,
+               .faultCount = options.faultCount,
+               .faultSeed = options.faultSeed,
+               .addressSlot = 0},
+              options, &_machine.pa())
 {
-    // Narrow the VA when a wide PAC would not fit the 64-bit layout.
-    const unsigned va_bits =
-        options.pacBits <= 16 ? 46 : 62 - options.pacBits;
-    const pa::PointerLayout layout(options.pacBits, va_bits);
-    _pa = std::make_unique<pa::PaContext>(layout);
-
-    memsim::MemoryConfig mem_config;
-    mem_config.useBoundsCache = options.usesAos() && options.useL1B;
-    _mem = std::make_unique<memsim::MemorySystem>(mem_config);
-
-    if (options.usesAos()) {
-        const unsigned records = options.boundsCompression
-                                     ? bounds::kSlotsPerWay
-                                     : bounds::kWideSlotsPerWay;
-        _os = std::make_unique<os::OsModel>(options.pacBits,
-                                            options.initialHbtAssoc,
-                                            records,
-                                            os::FaultPolicy::kReport);
-        _bwb = std::make_unique<bounds::BoundsWayBuffer>(64);
-
-        mcu::McuConfig mcu_config;
-        mcu_config.useBwb = options.useBwb;
-        mcu_config.boundsForwarding = options.boundsForwarding;
-        _mcu = std::make_unique<mcu::MemoryCheckUnit>(
-            mcu_config, layout, &_os->hbt(), _bwb.get(), _mem.get());
-        _mcu->onFault = [this](mcu::FaultKind kind,
-                               const mcu::McqEntry &entry) {
-            return _os->handleFault(kind, entry);
-        };
-    }
-
-    cpu::CoreConfig core_config;
-    core_config.codeFootprint = profile.codeFootprint;
-    core_config.cancel = options.cancel;
-    _core = std::make_unique<cpu::OoOCore>(core_config, layout, _mem.get(),
-                                           _mcu.get());
-
-    _workload = std::make_unique<workloads::SyntheticWorkload>(
-        profile, options.measureOps, options.seedSalt);
-
-    if (options.aosBoundsElision && options.usesAos()) {
-        // The synthetic stream is a pure function of
-        // (profile, measureOps, seedSalt), so abstractly interpreting a
-        // regenerated duplicate is an exact model of the stream the
-        // pipeline below will instrument.
-        prof::Scope scope("sys.boundsplan");
-        workloads::SyntheticWorkload analysis_copy(
-            profile, options.measureOps, options.seedSalt);
-        analysis::dataflow::DataflowEngine engine(layout);
-        engine.run(analysis_copy, options.cancel);
-        _boundsPlan = std::make_unique<analysis::dataflow::ElisionPlan>(
-            analysis::dataflow::planBoundsElision(engine));
-    }
-
-    if (options.faultTypes != 0) {
-        // Faults against structures a configuration does not have are
-        // meaningless: restrict the plan to the applicable classes so
-        // per-cell schedules stay comparable across mechanisms.
-        u32 types = options.faultTypes;
-        if (!options.usesAos())
-            types &= ~(faultinject::kMetadataFaults | faultinject::kMcuFaults);
-        faultinject::FaultPlanConfig plan_config;
-        plan_config.types = types;
-        plan_config.perType = options.faultCount;
-        plan_config.opWindow = options.measureOps;
-        // Same per-(workload, seedSalt, faultSeed) schedule for every
-        // mechanism, and bit-identical regardless of worker placement.
-        plan_config.seed = options.faultSeed ^
-                           Rng::hashName(profile.name) ^ options.seedSalt;
-        _faultPlan = std::make_unique<faultinject::FaultPlan>(plan_config);
-
-        faultinject::InjectorEnv env;
-        env.layout = layout;
-        env.model = protectionModel(options.mech);
-        env.hbt = _os ? &_os->hbt() : nullptr;
-        env.inChunk = [this](Addr base, Addr addr) {
-            return _workload->allocator().inBounds(base, addr);
-        };
-        _injector =
-            std::make_unique<faultinject::FaultInjector>(*_faultPlan, env);
-
-        _mem->boundsTap = [this](Addr addr, bool write) {
-            _injector->onBoundsAccess(addr, write);
-        };
-        if (_mcu)
-            _mcu->faultHooks = _injector.get();
-    }
-
-    buildPipeline();
+    _machine.bind(_domain);
 }
 
 AosSystem::~AosSystem() = default;
-
-void
-AosSystem::buildPipeline()
-{
-    _pipeline = std::make_unique<compiler::PassManager>(_workload.get());
-
-    switch (_options.mech) {
-      case baselines::Mechanism::kBaseline:
-        break;
-      case baselines::Mechanism::kWatchdog:
-        _pipeline->add<compiler::WatchdogPass>();
-        break;
-      case baselines::Mechanism::kPa:
-        _pipeline->add<compiler::PaPass>(compiler::PaMode::kPaOnly);
-        break;
-      case baselines::Mechanism::kAos:
-        _pipeline->add<compiler::AosOptPass>();
-        _pipeline->add<compiler::AosBackendPass>(_pa.get());
-        if (_boundsPlan) {
-            _belide = _pipeline->add<compiler::AosBoundsElidePass>(
-                _pa->layout(), _boundsPlan.get());
-        }
-        break;
-      case baselines::Mechanism::kPaAos:
-        _pipeline->add<compiler::AosOptPass>();
-        _pipeline->add<compiler::AosBackendPass>(_pa.get());
-        _pipeline->add<compiler::PaPass>(compiler::PaMode::kPaAos);
-        if (_boundsPlan) {
-            // After PaPass so elided regions are dropped before autm
-            // elision sees them; before the counter like AosElidePass.
-            _belide = _pipeline->add<compiler::AosBoundsElidePass>(
-                _pa->layout(), _boundsPlan.get());
-        }
-        if (_options.aosElision) {
-            // Before the counter so the mix reflects executed autms.
-            _elide = _pipeline->add<compiler::AosElidePass>(_pa->layout());
-        }
-        break;
-      case baselines::Mechanism::kAsan:
-        _pipeline->add<compiler::AsanPass>();
-        break;
-    }
-
-    _counter = _pipeline->add<compiler::OpCounter>(_pa->layout());
-
-    _stream = _pipeline.get();
-    if (_options.verifyStream) {
-        staticcheck::VerifierOptions verify_options;
-        verify_options.layout = _pa->layout();
-        verify_options.requireAosLowering = _options.usesAos();
-        verify_options.elisionPlan = _boundsPlan.get();
-        _verifier =
-            std::make_unique<staticcheck::StreamVerifier>(verify_options);
-        _verified = std::make_unique<staticcheck::VerifyingStream>(
-            _pipeline.get(), _verifier.get());
-        _stream = _verified.get();
-    }
-    if (_injector) {
-        // Outermost, so the op-mix counters and the stream verifier
-        // observe the clean program: injected corruption models
-        // hardware faults, not miscompilation.
-        _faulting = std::make_unique<faultinject::FaultingStream>(
-            _stream, _injector.get());
-        _stream = _faulting.get();
-    }
-}
-
-void
-AosSystem::fastForward()
-{
-    const pa::PointerLayout &layout = _pa->layout();
-    // Pull in blocks: one pipeline dispatch per block instead of two
-    // virtual calls per op. Warmup is the bulk of a job's wall time
-    // and this loop consumes tens of millions of ops, so per-op
-    // dispatch overhead is measurable. Ops over-pulled past the phase
-    // mark are spliced back in front of the stream for the measure
-    // loop via a CarryStream.
-    constexpr size_t kBlock = 1024;
-    std::vector<ir::MicroOp> buf(kBlock);
-    u64 polled = 0;
-    for (size_t n; (n = _stream->nextBatch(buf.data(), kBlock)) != 0;) {
-        for (size_t i = 0; i < n; ++i) {
-            const ir::MicroOp &op = buf[i];
-            // Fast-forward has no cycle loop, so poll the cancellation
-            // token here (every 4096 ops keeps overhead negligible).
-            if ((++polled & 0xfff) == 0 && _options.cancel)
-                _options.cancel->throwIfCancelled();
-            switch (op.kind) {
-              case ir::OpKind::kPhaseMark:
-                if (i + 1 < n) {
-                    _ffCarry = std::make_unique<ir::CarryStream>(
-                        std::vector<ir::MicroOp>(buf.begin() + i + 1,
-                                                 buf.begin() + n),
-                        _stream);
-                    _stream = _ffCarry.get();
-                }
-                return;
-              case ir::OpKind::kBndstr: {
-                const u64 pac = layout.pac(op.addr);
-                const Addr raw = layout.strip(op.addr);
-                auto &hbt = _os->hbt();
-                auto way =
-                    hbt.insert(pac, bounds::compress(raw, op.size));
-                while (!way) {
-                    if (!hbt.resizing())
-                        hbt.beginResize();
-                    hbt.finishResize();
-                    way = hbt.insert(pac, bounds::compress(raw, op.size));
-                }
-                _mem->boundsAccess(hbt.wayAddr(pac, *way), true);
-                break;
-              }
-              case ir::OpKind::kBndclr:
-                _os->hbt().clear(layout.pac(op.addr),
-                                 layout.strip(op.addr));
-                break;
-              case ir::OpKind::kLoad:
-              case ir::OpKind::kWdMetaLoad:
-                _mem->dataAccess(layout.strip(op.addr), false);
-                break;
-              case ir::OpKind::kStore:
-              case ir::OpKind::kWdMetaStore:
-                _mem->dataAccess(layout.strip(op.addr), true);
-                break;
-              case ir::OpKind::kBranch:
-                _core->observeBranch(op.branchId, op.taken);
-                break;
-              default:
-                break;
-            }
-        }
-    }
-    panic("workload stream ended before the phase mark");
-}
 
 RunResult
 AosSystem::run()
 {
     {
         prof::Scope scope("sys.fastforward");
-        fastForward();
+        _domain.warmup(_machine);
     }
 
+    cpu::OoOCore &core = _machine.core();
+    memsim::MemorySystem &mem = _machine.memory();
+    faultinject::FaultInjector *injector = _domain.injector();
     // Snapshot at the measurement boundary. The op mix comes from the
     // counter's own phase-mark latch: the pass pipeline runs ahead of
     // the consumer by up to a block, so mix() here already includes
     // measured-phase ops sitting in pending buffers.
-    const ir::OpMixStats mix_before = _counter->mixAtPhaseMark();
-    const u64 traffic_before = _mem->networkTraffic();
-    const u64 dram_accesses_before = _mem->dramAccesses();
-    const u64 dram_writes_before = _mem->dramWrites();
-    const u64 lookups_before = _core->predictor().stats().lookups;
-    const u64 mispred_before = _core->predictor().stats().mispredicts;
+    const ir::OpMixStats mix_before = _domain.counter()->mixAtPhaseMark();
+    const u64 traffic_before = mem.networkTraffic();
+    const u64 dram_accesses_before = mem.dramAccesses();
+    const u64 dram_writes_before = mem.dramWrites();
+    const u64 mispred_before = core.predictor().stats().mispredicts;
 
     {
         prof::Scope scope("sys.measure");
         // Run until the bounded source stream ends: every configuration
         // executes the same program work; instrumented instructions are
         // extra, exactly as in the paper's methodology.
-        if (_injector) {
+        if (injector) {
             // Graceful-degradation contract: corrupted state must never
             // escape as an exception. (panic() aborts and is out of
             // scope; anything catchable is tallied as a simulator fault
             // instead of killing the sweep.)
             try {
-                _core->run(*_stream, 0);
+                core.run(*_domain.stream(), 0);
             } catch (const CancelledException &) {
                 // Not a simulator fault: cancellation is the campaign
                 // preempting this job, and must reach its engine.
                 throw;
             } catch (const std::exception &) {
-                _injector->noteSimulatorFault(
+                injector->noteSimulatorFault(
                     faultinject::FaultType::kNumTypes);
             }
         } else {
-            _core->run(*_stream, 0);
+            core.run(*_domain.stream(), 0);
         }
     }
 
     RunResult result;
-    result.workload = _profile.name;
-    result.mech = _options.mech;
-    result.core = _core->stats();
-    result.networkTraffic = _mem->networkTraffic() - traffic_before;
-    result.dramAccesses = _mem->dramAccesses() - dram_accesses_before;
-    result.dramWrites = _mem->dramWrites() - dram_writes_before;
-    result.mix = mixDelta(_counter->mix(), mix_before);
-    if (_mcu)
-        result.mcuStats = _mcu->stats();
-    if (_bwb)
-        result.bwb = _bwb->stats();
-    if (_os) {
-        result.hbt = _os->hbt().stats();
-        result.violations = _os->violationCount();
-        result.resizes = result.hbt.resizes;
+    result.workload = _domain.config().profile.name;
+    result.mech = _mech;
+    result.core = core.stats();
+    result.networkTraffic = mem.networkTraffic() - traffic_before;
+    result.dramAccesses = mem.dramAccesses() - dram_accesses_before;
+    result.dramWrites = mem.dramWrites() - dram_writes_before;
+    result.mix = mixDelta(_domain.counter()->mix(), mix_before);
+    if (const mcu::MemoryCheckUnit *mcu = _machine.mcu())
+        result.mcuStats = mcu->stats();
+    if (const bounds::BoundsWayBuffer *bwb = _machine.bwb())
+        result.bwb = bwb->stats();
+    if (os::OsModel *os = _domain.osModel()) {
+        result.hbt = os->hbt().stats();
+        result.violations = os->violationCount();
     }
-    if (_elide)
-        result.elide = _elide->stats();
-    if (_boundsPlan)
-        result.belidePlan = _boundsPlan->stats();
-    if (_belide)
-        result.belide = _belide->stats();
-    if (_verifier) {
+    if (_domain.autmElide())
+        result.elide = _domain.autmElide()->stats();
+    if (_domain.boundsPlan())
+        result.belidePlan = _domain.boundsPlan()->stats();
+    if (_domain.boundsElide())
+        result.belide = _domain.boundsElide()->stats();
+    if (const staticcheck::StreamVerifier *verifier = _domain.verifier()) {
         result.verified = true;
-        result.verifyDiagnostics = _verifier->totalDiagnostics();
-        result.verifySuppressed = _verifier->suppressedDiagnostics();
-        result.verifyRuleCounts = _verifier->ruleCounts();
-        result.verifyFindings = _verifier->diagnostics();
+        result.verifyDiagnostics = verifier->totalDiagnostics();
+        result.verifySuppressed = verifier->suppressedDiagnostics();
+        result.verifyRuleCounts = verifier->ruleCounts();
+        result.verifyFindings = verifier->diagnostics();
     }
-    if (_injector) {
-        result.faults = _injector->stats();
-        result.faultEvents = _injector->events();
+    if (injector) {
+        result.faults = injector->stats();
+        result.faultEvents = injector->events();
     }
-    const u64 lookups =
-        _core->predictor().stats().lookups - lookups_before;
     const u64 mispredicts =
-        _core->predictor().stats().mispredicts - mispred_before;
+        core.predictor().stats().mispredicts - mispred_before;
     result.branchMpki =
         result.core.committed
             ? 1000.0 * static_cast<double>(mispredicts) /
                   static_cast<double>(result.core.committed)
             : 0.0;
-    (void)lookups;
     return result;
 }
 

@@ -3,7 +3,9 @@
  * AosSystem — one full timing simulation: a workload profile run on the
  * Table IV machine under one of the five system configurations.
  *
- * The harness assembles the whole stack:
+ * The run is a one-domain machine (os/domain.hh): an os::Machine
+ * bound once to a single os::ProtectionDomain in address slot 0, under
+ * the PaContext's default keys.
  *
  *   SyntheticWorkload -> instrumentation passes -> OpCounter -> OoOCore
  *                                   |                             |
@@ -11,7 +13,7 @@
  *                                                                 |
  *                                                           MemorySystem
  *
- * and mirrors the paper's methodology: the warmup phase (heap build-up)
+ * It mirrors the paper's methodology: the warmup phase (heap build-up)
  * is fast-forwarded functionally — bounds inserted, caches and branch
  * predictor warmed — and statistics are collected over the measured
  * window only.
@@ -23,23 +25,8 @@
 #include <memory>
 #include <ostream>
 
-#include "analysis/dataflow/elision_plan.hh"
-#include "baselines/system_config.hh"
 #include "common/stats.hh"
-#include "bounds/bounds_way_buffer.hh"
-#include "compiler/aos_bounds_elide_pass.hh"
-#include "compiler/aos_elide_pass.hh"
-#include "compiler/op_counter.hh"
-#include "cpu/ooo_core.hh"
-#include "faultinject/faulting_stream.hh"
-#include "faultinject/fault_plan.hh"
-#include "faultinject/injector.hh"
-#include "mcu/memory_check_unit.hh"
-#include "memsim/memory_system.hh"
-#include "os/os_model.hh"
-#include "pa/pa_context.hh"
-#include "staticcheck/stream_verifier.hh"
-#include "workloads/synthetic_workload.hh"
+#include "os/domain.hh"
 
 namespace aos::core {
 
@@ -59,7 +46,6 @@ struct RunResult
     bounds::HbtStats hbt;
     double branchMpki = 0;
     u64 violations = 0;           //!< AOS exceptions logged by the OS.
-    u64 resizes = 0;
 
     compiler::ElideStats elide;   //!< autm elision (options.aosElision).
 
@@ -104,37 +90,13 @@ class AosSystem
     /** Fast-forward the warmup, run the measured window, report. */
     RunResult run();
 
-    memsim::MemorySystem &memory() { return *_mem; }
-    cpu::OoOCore &core() { return *_core; }
+    memsim::MemorySystem &memory() { return _machine.memory(); }
+    cpu::OoOCore &core() { return _machine.core(); }
 
   private:
-    void buildPipeline();
-    void fastForward();
-
-    workloads::WorkloadProfile _profile;
-    baselines::SystemOptions _options;
-
-    std::unique_ptr<pa::PaContext> _pa;
-    std::unique_ptr<memsim::MemorySystem> _mem;
-    std::unique_ptr<os::OsModel> _os;
-    std::unique_ptr<bounds::BoundsWayBuffer> _bwb;
-    std::unique_ptr<mcu::MemoryCheckUnit> _mcu;
-    std::unique_ptr<cpu::OoOCore> _core;
-    std::unique_ptr<workloads::SyntheticWorkload> _workload;
-    std::unique_ptr<compiler::PassManager> _pipeline;
-    compiler::OpCounter *_counter = nullptr;
-    compiler::AosElidePass *_elide = nullptr;
-    std::unique_ptr<analysis::dataflow::ElisionPlan> _boundsPlan;
-    compiler::AosBoundsElidePass *_belide = nullptr;
-    std::unique_ptr<staticcheck::StreamVerifier> _verifier;
-    std::unique_ptr<staticcheck::VerifyingStream> _verified;
-    std::unique_ptr<faultinject::FaultPlan> _faultPlan;
-    std::unique_ptr<faultinject::FaultInjector> _injector;
-    std::unique_ptr<faultinject::FaultingStream> _faulting;
-    // Ops fast-forward over-pulled past the phase mark, re-served to
-    // the measure loop (fastForward() splices it in front of _stream).
-    std::unique_ptr<ir::CarryStream> _ffCarry;
-    ir::InstStream *_stream = nullptr; //!< What the core consumes.
+    baselines::Mechanism _mech;
+    os::Machine _machine;
+    os::ProtectionDomain _domain;
 };
 
 } // namespace aos::core

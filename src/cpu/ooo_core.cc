@@ -180,6 +180,8 @@ const CoreStats &
 OoOCore::run(ir::InstStream &stream, u64 max_ops)
 {
     prof::Scope scope("cpu.run");
+    panic_if(_mcu && !_mcu->hasTable(),
+             "core run with no bounds table bound to the MCU");
     Tick now = _stats.cycles;
     bool stream_done = false;
     ir::MicroOp pending;

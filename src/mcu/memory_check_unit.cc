@@ -25,7 +25,6 @@ MemoryCheckUnit::MemoryCheckUnit(const McuConfig &config,
                                  memsim::MemorySystem *mem)
     : _config(config), _layout(layout), _hbt(hbt), _bwb(bwb), _mem(mem)
 {
-    panic_if(!hbt, "MCU requires a hashed bounds table");
     panic_if(!mem, "MCU requires a memory system");
     const u32 cap = ringCapacity(std::max(config.mcqEntries, 1u));
     _slots.resize(cap);
@@ -37,7 +36,6 @@ MemoryCheckUnit::MemoryCheckUnit(const McuConfig &config,
 void
 MemoryCheckUnit::bind(bounds::HashedBoundsTable *hbt)
 {
-    panic_if(!hbt, "MCU requires a hashed bounds table");
     panic_if(_count != 0,
              "MCU rebind with %u in-flight entries: context switches "
              "must happen between fully-drained slices",

@@ -165,11 +165,14 @@ class MemoryCheckUnit
 
     /**
      * Rebind the bounds table the checks run against — the context-
-     * switch hook of the multi-tenant scheduler. Only legal between
-     * slices, when the queue has fully drained: an in-flight walk
-     * against a departing table would check the wrong process's bounds.
+     * switch hook of os::Machine. Only legal between slices, when the
+     * queue has fully drained: an in-flight walk against a departing
+     * table would check the wrong process's bounds. Null parks the MCU
+     * with no table (also legal at construction); a table must be bound
+     * before the core runs again.
      */
     void bind(bounds::HashedBoundsTable *hbt);
+    bool hasTable() const { return _hbt != nullptr; }
 
     /**
      * Discard every in-flight entry (process-kill pipeline flush).

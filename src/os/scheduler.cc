@@ -33,41 +33,9 @@ SchedulerResult::functionalFingerprint() const
 }
 
 Scheduler::Scheduler(const SchedulerConfig &config)
-    : _config(config),
+    : _config(config), _machine(config.options),
       _arrivalRng(0x5eeded ^ (config.seed * 0x9e3779b97f4a7c15ull))
 {
-    const baselines::SystemOptions &options = _config.options;
-    const unsigned va_bits =
-        options.pacBits <= 16 ? 46 : 62 - options.pacBits;
-    const pa::PointerLayout layout(options.pacBits, va_bits);
-    _pa = std::make_unique<pa::PaContext>(layout);
-
-    memsim::MemoryConfig mem_config;
-    mem_config.useBoundsCache = options.usesAos() && options.useL1B;
-    _mem = std::make_unique<memsim::MemorySystem>(mem_config);
-
-    if (options.usesAos()) {
-        const unsigned records = options.boundsCompression
-                                     ? bounds::kSlotsPerWay
-                                     : bounds::kWideSlotsPerWay;
-        _bwb = std::make_unique<bounds::BoundsWayBuffer>(64);
-        // The MCU needs a table at construction; this one is only ever
-        // bound while no tenant is on core, and the queue is always
-        // empty then, so it is never actually walked.
-        _idleHbt = std::make_unique<bounds::HashedBoundsTable>(
-            OsModel::kDefaultHbtBase, options.pacBits, 1, records);
-
-        mcu::McuConfig mcu_config;
-        mcu_config.useBwb = options.useBwb;
-        mcu_config.boundsForwarding = options.boundsForwarding;
-        _mcu = std::make_unique<mcu::MemoryCheckUnit>(
-            mcu_config, layout, _idleHbt.get(), _bwb.get(), _mem.get());
-    }
-
-    cpu::CoreConfig core_config;
-    core_config.cancel = options.cancel;
-    _core = std::make_unique<cpu::OoOCore>(core_config, layout,
-                                           _mem.get(), _mcu.get());
 }
 
 Scheduler::~Scheduler() = default;
@@ -75,7 +43,7 @@ Scheduler::~Scheduler() = default;
 u64
 Scheduler::now() const
 {
-    return _core->stats().cycles + _idleCycles;
+    return _machine.core().stats().cycles + _idleCycles;
 }
 
 TenantContext *
@@ -112,14 +80,17 @@ Scheduler::spawn(const TenantConfig &config)
 
     auto tenant = std::make_unique<TenantContext>(slot, config,
                                                   _config.options,
-                                                  _pa.get());
+                                                  &_machine.pa());
     TenantContext *raw = tenant.get();
     if (slot == _slots.size())
         _slots.push_back(std::move(tenant));
     else
         _slots[slot] = std::move(tenant);
 
-    warmup(*raw);
+    // The instrumentation passes sign through the shared key registers,
+    // so warmup must already run under the new tenant's keys.
+    switchTo(*raw);
+    raw->warmup(_machine);
     refreshForeignRanges();
     return slot;
 }
@@ -135,67 +106,28 @@ Scheduler::kill(u32 slot)
 void
 Scheduler::switchTo(TenantContext &t)
 {
-    if (_current == &t)
-        return;
-    _current = &t;
-    ++_result.contextSwitches;
-
-    // The CryptSan/PACSan key swap: every pacma/autm after this point
-    // signs and verifies under the arriving process's keys.
-    _pa->installKeys(t.keys());
-
-    if (_mcu) {
-        OsModel *os = t.osModel();
-        _mcu->bind(&os->hbt());
-        _mcu->onFault = [os](mcu::FaultKind kind,
-                             const mcu::McqEntry &entry) {
-            return os->handleFault(kind, entry);
-        };
-        _mcu->faultHooks = t.injector();
-    }
-    // Way predictions are keyed by PAC values, which are only
-    // meaningful under one process's keys and table.
-    if (_bwb)
-        _bwb->invalidate();
-
-    if (faultinject::FaultInjector *injector = t.injector()) {
-        _mem->boundsTap = [injector](Addr addr, bool write) {
-            injector->onBoundsAccess(addr, write);
-        };
-    } else {
-        _mem->boundsTap = nullptr;
-    }
-}
-
-void
-Scheduler::detachCurrent()
-{
-    _current = nullptr;
-    if (_mcu) {
-        _mcu->bind(_idleHbt.get());
-        _mcu->onFault = nullptr;
-        _mcu->faultHooks = nullptr;
-    }
-    _mem->boundsTap = nullptr;
+    if (_machine.bind(t))
+        ++_result.contextSwitches;
 }
 
 u64
 Scheduler::runSlice(TenantContext &t)
 {
     switchTo(t);
-    const u64 before = _core->stats().committed;
+    cpu::OoOCore &core = _machine.core();
+    const u64 before = core.stats().committed;
     bool killed = false;
     try {
         // Bound in issued ops so a prior kill-flush (issued > committed)
         // never shortens this tenant's quantum.
-        _core->run(*t.stream(), _core->issued() + _config.quantumOps);
+        core.run(*t.stream(), core.issued() + _config.quantumOps);
     } catch (const ProcessTerminated &) {
         // AOS exception under FaultPolicy::kTerminate: process-kill
         // pipeline flush, then deterministic teardown.
-        _core->flush();
+        core.flush();
         killed = true;
     }
-    const u64 delta = _core->stats().committed - before;
+    const u64 delta = core.stats().committed - before;
     t.committedOps += delta;
     ++t.slices;
     ++_result.slices;
@@ -210,70 +142,10 @@ Scheduler::terminate(TenantContext &t)
     // Queued requests die with the process: counted, never dropped.
     t.requestsShed += t.runQueue.size();
     ++_result.terminations;
-    if (_current == &t)
-        detachCurrent();
+    if (_machine.bound() == &t)
+        _machine.unbind();
     t.retire();
     refreshForeignRanges();
-}
-
-void
-Scheduler::warmup(TenantContext &t)
-{
-    // The instrumentation passes sign through the shared key registers,
-    // so warmup must already run under the new tenant's keys.
-    switchTo(t);
-
-    const pa::PointerLayout &layout = _pa->layout();
-    constexpr size_t kBlock = 1024;
-    std::vector<ir::MicroOp> buf(kBlock);
-    ir::InstStream *stream = t.stream();
-    for (size_t n; (n = stream->nextBatch(buf.data(), kBlock)) != 0;) {
-        for (size_t i = 0; i < n; ++i) {
-            const ir::MicroOp &op = buf[i];
-            switch (op.kind) {
-              case ir::OpKind::kPhaseMark:
-                // Ops over-pulled past the mark belong to the measured
-                // phase: splice them back in front of the stream.
-                if (i + 1 < n)
-                    t.spliceCarry(std::vector<ir::MicroOp>(
-                        buf.begin() + i + 1, buf.begin() + n));
-                return;
-              case ir::OpKind::kBndstr: {
-                auto &hbt = t.osModel()->hbt();
-                const u64 pac = layout.pac(op.addr);
-                const Addr raw = layout.strip(op.addr);
-                auto way =
-                    hbt.insert(pac, bounds::compress(raw, op.size));
-                while (!way) {
-                    if (!hbt.resizing())
-                        hbt.beginResize();
-                    hbt.finishResize();
-                    way = hbt.insert(pac, bounds::compress(raw, op.size));
-                }
-                _mem->boundsAccess(hbt.wayAddr(pac, *way), true);
-                break;
-              }
-              case ir::OpKind::kBndclr:
-                t.osModel()->hbt().clear(layout.pac(op.addr),
-                                         layout.strip(op.addr));
-                break;
-              case ir::OpKind::kLoad:
-              case ir::OpKind::kWdMetaLoad:
-                _mem->dataAccess(layout.strip(op.addr), false);
-                break;
-              case ir::OpKind::kStore:
-              case ir::OpKind::kWdMetaStore:
-                _mem->dataAccess(layout.strip(op.addr), true);
-                break;
-              case ir::OpKind::kBranch:
-                _core->observeBranch(op.branchId, op.taken);
-                break;
-              default:
-                break;
-            }
-        }
-    }
-    panic("tenant %u stream ended before the phase mark", t.id());
 }
 
 void
@@ -431,8 +303,8 @@ Scheduler::runRequests()
 void
 Scheduler::collect(SchedulerResult &out)
 {
-    out.core = _core->stats();
-    out.cycles = _core->stats().cycles;
+    out.core = _machine.core().stats();
+    out.cycles = out.core.cycles;
     out.idleCycles = _idleCycles;
     out.tenants = _retiredStats;
     for (const auto &slot : _slots)
@@ -453,7 +325,7 @@ Scheduler::run()
         runFixedWork();
     else
         runRequests();
-    detachCurrent();
+    _machine.unbind();
     SchedulerResult out = std::move(_result);
     _result = SchedulerResult{};
     collect(out);

@@ -3,15 +3,13 @@
  * Multi-tenant round-robin scheduler over one shared AOS core
  * (DESIGN.md §15).
  *
- * The scheduler owns the shared hardware — PA key registers, caches,
- * DRAM, BWB, MCU and the out-of-order core — and time-slices N
- * TenantContexts over it. Every context switch performs the
- * CryptSan/PACSan per-process key swap: the departing tenant's five PA
- * keys are replaced in the core's key registers, the MCU is rebound to
- * the arriving tenant's hashed bounds table, and the BWB (which caches
- * way predictions keyed by PAC values that are only meaningful under
- * one process's keys) is invalidated. Cache and DRAM state is shared
- * and carries over — that contention is the multi-tenant experiment.
+ * The scheduler owns one Machine (os/domain.hh: PA key registers,
+ * caches, DRAM, BWB, MCU and the out-of-order core) and time-slices N
+ * TenantContexts over it. Every context switch is Machine::bind(), the
+ * CryptSan/PACSan per-process key swap: the arriving tenant's five PA
+ * keys are installed, the MCU is rebound to its hashed bounds table,
+ * and the BWB is invalidated. Cache and DRAM state is shared and
+ * carries over — that contention is the multi-tenant experiment.
  *
  * Slices run on drained-machine boundaries: the core's run() loop only
  * returns once the ROB and MCQ are empty, so no in-flight check of
@@ -39,12 +37,7 @@
 #include <memory>
 #include <vector>
 
-#include "bounds/bounds_way_buffer.hh"
-#include "cpu/ooo_core.hh"
-#include "mcu/memory_check_unit.hh"
-#include "memsim/memory_system.hh"
 #include "os/tenant.hh"
-#include "pa/pa_context.hh"
 
 namespace aos::os {
 
@@ -52,9 +45,12 @@ namespace aos::os {
 struct SchedulerConfig
 {
     /**
-     * Shared machine options: mechanism, PAC width, HBT shape and MCU
-     * toggles apply to every tenant (one SoC, many processes). The
-     * per-run fields measureOps/seedSalt/faultTypes are ignored here —
+     * Shared machine options, applied to every tenant (one SoC, many
+     * processes). A fleet honours mech, boundsCompression, useL1B,
+     * useBwb, boundsForwarding, pacBits, initialHbtAssoc, aosElision,
+     * aosBoundsElision (bounded tenants only: TenantConfig::measureOps
+     * must be nonzero), verifyStream and cancel. It ignores the per-run
+     * fields measureOps, seedSalt, faultTypes, faultCount and faultSeed:
      * each TenantConfig carries its own.
      */
     baselines::SystemOptions options;
@@ -130,17 +126,14 @@ class Scheduler
     /** Drive the configured mode to completion. */
     SchedulerResult run();
 
-    const pa::PaContext &pa() const { return *_pa; }
     const SchedulerConfig &config() const { return _config; }
 
   private:
     u64 now() const;
     void switchTo(TenantContext &tenant);
-    void detachCurrent();
     /** One time slice; returns committed-op delta (0 = stream dry). */
     u64 runSlice(TenantContext &tenant);
     void terminate(TenantContext &tenant);
-    void warmup(TenantContext &tenant);
     void refreshForeignRanges();
     void creditService(TenantContext &tenant, u64 delta);
 
@@ -149,16 +142,9 @@ class Scheduler
     void collect(SchedulerResult &out);
 
     SchedulerConfig _config;
-    std::unique_ptr<pa::PaContext> _pa;
-    std::unique_ptr<memsim::MemorySystem> _mem;
-    std::unique_ptr<bounds::BoundsWayBuffer> _bwb;
-    /** Parked table the MCU is bound to when no tenant is running. */
-    std::unique_ptr<bounds::HashedBoundsTable> _idleHbt;
-    std::unique_ptr<mcu::MemoryCheckUnit> _mcu;
-    std::unique_ptr<cpu::OoOCore> _core;
+    Machine _machine;
 
     std::vector<std::unique_ptr<TenantContext>> _slots;
-    TenantContext *_current = nullptr;
 
     Rng _arrivalRng;
     u64 _idleCycles = 0;

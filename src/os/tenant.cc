@@ -1,26 +1,10 @@
 #include "os/tenant.hh"
 
-#include <algorithm>
 #include <cstdio>
-
-#include "common/logging.hh"
-#include "compiler/aos_passes.hh"
-#include "compiler/asan_pass.hh"
-#include "compiler/pa_pass.hh"
-#include "compiler/watchdog_pass.hh"
 
 namespace aos::os {
 
 namespace {
-
-// 46-bit VA partitioning (DESIGN.md §15): per-process ranges placed so
-// no two tenants — nor any tenant and any resized HBT — ever share a
-// cache line. Slot 0 keeps the single-process defaults, so a solo
-// AosSystem run and a one-tenant fleet are address-identical.
-constexpr Addr kHeapStride = 0x4'0000'0000ull;        //!< 16 GiB.
-constexpr Addr kGlobalRegion = 0x2000'0000'0000ull;   //!< Slots > 0.
-constexpr Addr kGlobalStride = 0x1'0000'0000ull;      //!< 4 GiB.
-constexpr Addr kHbtStride = 0x20'0000'0000ull;        //!< 128 GiB.
 
 /** Per-tenant key-derivation tweak (golden-ratio mixing). */
 u64
@@ -30,139 +14,15 @@ keySeed(u64 seed, u32 slot)
            ((u64{slot} + 1) * 0xbf58476d1ce4e5b9ull);
 }
 
+u32
+slotFor(const TenantConfig &config, u32 id)
+{
+    return config.addressSlot == TenantConfig::kAutoSlot
+               ? id
+               : config.addressSlot;
+}
+
 } // namespace
-
-const char *
-attackKindName(AttackKind kind)
-{
-    switch (kind) {
-      case AttackKind::kOutOfBounds: return "oob";
-      case AttackKind::kPacForge: return "pac_forge";
-      case AttackKind::kAhcStrip: return "ahc_strip";
-      case AttackKind::kUseAfterFree: return "uaf";
-      case AttackKind::kCrossTenant: return "cross_tenant";
-      case AttackKind::kNumKinds: break;
-    }
-    return "unknown";
-}
-
-// ---------------------------------------------------------------------
-// AttackStream
-
-AttackStream::AttackStream(ir::InstStream *inner,
-                           const pa::PointerLayout &layout,
-                           const alloc::HeapAllocator *alloc, u64 seed,
-                           u64 per_mille)
-    : _inner(inner), _layout(layout), _alloc(alloc),
-      _rng(0xadfeed ^ (seed * 0x9e3779b97f4a7c15ull)),
-      _perMille(per_mille)
-{
-}
-
-void
-AttackStream::observe(const ir::MicroOp &op)
-{
-    if (op.kind == ir::OpKind::kPhaseMark) {
-        _measuring = true;
-        return;
-    }
-    if (op.kind == ir::OpKind::kBndclr && _layout.signed_(op.addr)) {
-        // A freed chunk's signed pointer: UAF raw material.
-        _freed[_freedPos] = op.addr;
-        _freedPos = (_freedPos + 1) % kFreedRing;
-        if (_freedCount < kFreedRing)
-            ++_freedCount;
-        return;
-    }
-    if (op.isMem() && _layout.signed_(op.addr) && op.chunkBase != 0) {
-        _lastSigned = op.addr;
-        _lastChunk = op.chunkBase;
-    }
-}
-
-bool
-AttackStream::buildAttack(ir::MicroOp &op)
-{
-    if (_lastSigned == 0)
-        return false;
-
-    op = ir::MicroOp();
-    op.kind = _rng.chance(0.5) ? ir::OpKind::kLoad : ir::OpKind::kStore;
-    op.size = 8;
-
-    const auto kind =
-        static_cast<AttackKind>(_rng.below(kNumAttackKinds));
-    switch (kind) {
-      case AttackKind::kOutOfBounds: {
-        // Walk a validly signed pointer past its allocation: the PAC
-        // still matches the chunk's row, so the MCU finds the record
-        // and the range check fails (paper Fig. 12 semantics).
-        const u64 size = std::max<u64>(_alloc->usableSize(_lastChunk), 8);
-        op.addr = _lastSigned + size + 64;
-        break;
-      }
-      case AttackKind::kPacForge:
-        // Wrong signature: the check walks the (wrong) row and misses.
-        op.addr = _layout.flipMetaBit(_lastSigned, 0);
-        break;
-      case AttackKind::kAhcStrip:
-        // Stripped pointer: unsigned, so the MCU never checks it. The
-        // per-process address space contains the access; it counts as
-        // launched but is undetectable by design (xpacm rationale).
-        op.addr = _layout.strip(_lastSigned);
-        break;
-      case AttackKind::kUseAfterFree:
-        if (_freedCount == 0)
-            return false;
-        op.addr = _freed[_rng.below(_freedCount)];
-        break;
-      case AttackKind::kCrossTenant: {
-        // Probe a neighbour's heap: per-process translation would
-        // fault the raw access, so the attacker forges its own signed
-        // pointer over the foreign VA — which its own HBT has no
-        // bounds for.
-        if (_foreign.empty())
-            return false;
-        const auto &[lo, hi] = _foreign[_rng.below(_foreign.size())];
-        const Addr raw = lo + (_rng.below(hi - lo) & ~u64{7});
-        op.addr = _layout.compose(raw, _layout.pac(_lastSigned),
-                                  _layout.ahc(_lastSigned));
-        break;
-      }
-      case AttackKind::kNumKinds:
-        return false;
-    }
-
-    ++_stats.launched;
-    ++_stats.perKind[static_cast<unsigned>(kind)];
-    if (kind != AttackKind::kAhcStrip)
-        ++_stats.detectable;
-    return true;
-}
-
-bool
-AttackStream::next(ir::MicroOp &op)
-{
-    if (_havePending) {
-        op = _pending;
-        _havePending = false;
-        return true;
-    }
-    if (!_inner->next(op))
-        return false;
-    observe(op);
-    if (_measuring && op.kind != ir::OpKind::kPhaseMark &&
-        _rng.below(1000) < _perMille) {
-        ir::MicroOp attack;
-        if (buildAttack(attack)) {
-            // Attack goes first; the program op it displaced follows.
-            _pending = op;
-            _havePending = true;
-            op = attack;
-        }
-    }
-    return true;
-}
 
 // ---------------------------------------------------------------------
 // TenantStats
@@ -188,152 +48,17 @@ TenantStats::fingerprint() const
 // ---------------------------------------------------------------------
 // TenantContext
 
-Addr
-TenantContext::heapBaseFor(u32 slot)
-{
-    return slot == 0 ? workloads::SyntheticWorkload::kDefaultHeapBase
-                     : workloads::SyntheticWorkload::kDefaultHeapBase +
-                           Addr{slot} * kHeapStride;
-}
-
-Addr
-TenantContext::globalBaseFor(u32 slot)
-{
-    return slot == 0 ? workloads::SyntheticWorkload::kDefaultGlobalBase
-                     : kGlobalRegion + Addr{slot} * kGlobalStride;
-}
-
-Addr
-TenantContext::hbtBaseFor(u32 slot)
-{
-    return OsModel::kDefaultHbtBase + Addr{slot} * kHbtStride;
-}
-
 TenantContext::TenantContext(u32 id, const TenantConfig &config,
                              const baselines::SystemOptions &options,
                              const pa::PaContext *pa)
-    : _id(id), _config(config),
-      _addressSlot(config.addressSlot == TenantConfig::kAutoSlot
-                       ? id
-                       : config.addressSlot),
-      _keys(pa::PaContext::deriveKeys(keySeed(config.seed, _addressSlot)))
+    : ProtectionDomain(
+          id + 1, // FaultEvent tenant 0 marks events from outside a fleet.
+          slotFor(config, id),
+          pa::PaContext::deriveKeys(keySeed(config.seed,
+                                            slotFor(config, id))),
+          config, options, pa),
+      _id(id)
 {
-    const pa::PointerLayout &layout = pa->layout();
-
-    if (options.usesAos()) {
-        const unsigned records = options.boundsCompression
-                                     ? bounds::kSlotsPerWay
-                                     : bounds::kWideSlotsPerWay;
-        _os = std::make_unique<OsModel>(options.pacBits,
-                                        options.initialHbtAssoc, records,
-                                        config.policy,
-                                        hbtBaseFor(_addressSlot));
-    }
-
-    _workload = std::make_unique<workloads::SyntheticWorkload>(
-        config.profile, config.measureOps, config.seed,
-        heapBaseFor(_addressSlot), globalBaseFor(_addressSlot));
-
-    _pipeline = std::make_unique<compiler::PassManager>(_workload.get());
-    switch (options.mech) {
-      case baselines::Mechanism::kBaseline:
-        break;
-      case baselines::Mechanism::kWatchdog:
-        _pipeline->add<compiler::WatchdogPass>();
-        break;
-      case baselines::Mechanism::kPa:
-        _pipeline->add<compiler::PaPass>(compiler::PaMode::kPaOnly);
-        break;
-      case baselines::Mechanism::kAos:
-        _pipeline->add<compiler::AosOptPass>();
-        _pipeline->add<compiler::AosBackendPass>(pa);
-        break;
-      case baselines::Mechanism::kPaAos:
-        _pipeline->add<compiler::AosOptPass>();
-        _pipeline->add<compiler::AosBackendPass>(pa);
-        _pipeline->add<compiler::PaPass>(compiler::PaMode::kPaAos);
-        break;
-      case baselines::Mechanism::kAsan:
-        _pipeline->add<compiler::AsanPass>();
-        break;
-    }
-    _counter = _pipeline->add<compiler::OpCounter>(layout);
-    _stream = _pipeline.get();
-
-    if (config.adversarial) {
-        _attack = std::make_unique<AttackStream>(
-            _stream, layout, &_workload->allocator(), config.seed,
-            config.attackPerMille);
-        _stream = _attack.get();
-    }
-
-    if (config.faultTypes != 0) {
-        u32 types = config.faultTypes;
-        if (!options.usesAos())
-            types &=
-                ~(faultinject::kMetadataFaults | faultinject::kMcuFaults);
-        faultinject::FaultPlanConfig plan_config;
-        plan_config.types = types;
-        plan_config.perType = config.faultCount;
-        // Request mode leaves measureOps unbounded; keep the op-index
-        // trigger window finite so the plan stays well-defined.
-        plan_config.opWindow =
-            config.measureOps ? config.measureOps : 1'000'000;
-        plan_config.seed = config.faultSeed ^
-                           Rng::hashName(config.profile.name) ^
-                           config.seed;
-        _faultPlan =
-            std::make_unique<faultinject::FaultPlan>(plan_config);
-
-        faultinject::InjectorEnv env;
-        env.layout = layout;
-        env.model = faultinject::ProtectionModel::kNone;
-        switch (options.mech) {
-          case baselines::Mechanism::kWatchdog:
-            env.model = faultinject::ProtectionModel::kWatchdog;
-            break;
-          case baselines::Mechanism::kPa:
-            env.model = faultinject::ProtectionModel::kPa;
-            break;
-          case baselines::Mechanism::kAos:
-            env.model = faultinject::ProtectionModel::kAos;
-            break;
-          case baselines::Mechanism::kPaAos:
-            env.model = faultinject::ProtectionModel::kPaAos;
-            break;
-          default:
-            break;
-        }
-        env.hbt = _os ? &_os->hbt() : nullptr;
-        env.tenantId = _id + 1; // 0 marks events from outside a fleet.
-        env.inChunk = [this](Addr base, Addr addr) {
-            return _workload->allocator().inBounds(base, addr);
-        };
-        _injector = std::make_unique<faultinject::FaultInjector>(
-            *_faultPlan, env);
-        _faulting = std::make_unique<faultinject::FaultingStream>(
-            _stream, _injector.get());
-        _stream = _faulting.get();
-    }
-}
-
-TenantContext::~TenantContext() = default;
-
-std::pair<Addr, Addr>
-TenantContext::heapRange() const
-{
-    const Addr base = heapBaseFor(_addressSlot);
-    return {base, base + kHeapStride / 2};
-}
-
-void
-TenantContext::spliceCarry(std::vector<ir::MicroOp> ops)
-{
-    if (ops.empty())
-        return;
-    _carry =
-        std::make_unique<ir::CarryStream>(std::move(ops), _stream);
-    _stream = _carry.get();
 }
 
 TenantStats
@@ -344,29 +69,29 @@ TenantContext::stats() const
 
     TenantStats stats;
     stats.id = _id;
-    stats.profile = _config.profile.name;
-    stats.adversarial = _config.adversarial;
+    stats.profile = config().profile.name;
+    stats.adversarial = config().adversarial;
     stats.terminated = false;
     stats.committedOps = committedOps;
     stats.slices = slices;
     stats.requestsServed = requestsServed;
     stats.requestsShed = requestsShed;
-    if (_os) {
-        stats.violations = _os->violationCount();
-        stats.violationsDropped = _os->violationsDropped();
-        const auto &hbt = _os->hbt().stats();
+    if (OsModel *os = osModel()) {
+        stats.violations = os->violationCount();
+        stats.violationsDropped = os->violationsDropped();
+        const auto &hbt = os->hbt().stats();
         stats.hbtInserts = hbt.inserts;
         stats.hbtClears = hbt.clears;
         stats.hbtOccupied = hbt.occupied;
         stats.hbtResizes = hbt.resizes;
     }
-    if (_counter)
-        stats.mixTotal = _counter->mix().total;
-    if (_attack)
-        stats.attacks = _attack->stats();
-    if (_injector) {
-        stats.faults = _injector->stats();
-        stats.faultEvents = _injector->events();
+    if (counter())
+        stats.mixTotal = counter()->mix().total;
+    if (attack())
+        stats.attacks = attack()->stats();
+    if (const faultinject::FaultInjector *inj = injector()) {
+        stats.faults = inj->stats();
+        stats.faultEvents = inj->events();
     }
     return stats;
 }
@@ -379,23 +104,8 @@ TenantContext::retire()
     _finalStats = stats();
     _finalStats.terminated = true;
     _terminated = true;
-
-    // Deterministic teardown, in dependency order: the OS releases the
-    // HBT storage; then stream adapters, pipeline and the workload
-    // (with its allocator and heap) are freed. The slot holds nothing
-    // afterwards but the final stats snapshot.
-    if (_os)
-        _os->retire();
-    _carry.reset();
-    _faulting.reset();
-    _injector.reset();
-    _faultPlan.reset();
-    _attack.reset();
-    _pipeline.reset();
-    _counter = nullptr;
-    _workload.reset();
-    _os.reset();
-    _stream = nullptr;
+    // The slot holds nothing afterwards but the final stats snapshot.
+    release();
     runQueue.clear();
 }
 

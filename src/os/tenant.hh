@@ -1,17 +1,13 @@
 /**
  * @file
  * TenantContext: one protected process in the multi-tenant scheduler
- * (DESIGN.md §15).
+ * (DESIGN.md §15) — a ProtectionDomain (os/domain.hh) plus the
+ * scheduler's bookkeeping: slot id, run queue, service accounting and
+ * the final-stats snapshot taken at teardown.
  *
- * A tenant owns everything the per-process PA key-management model of
- * CryptSan/PACSan says a process must own privately: its five PA keys
- * (installed into the shared core's key registers on every context
- * switch), its allocator and heap address range, its OsModel — and with
- * it the per-process hashed bounds table — and its instrumented
- * workload stream. Core, caches, BWB, MCU and DRAM stay shared, which
- * is exactly the contention the paper's real-world table implies.
- *
- * Two tenant flavours extend the plain benign process:
+ * Its keys are derived per (seed, address slot), so every tenant signs
+ * under its own keys. Two tenant flavours extend the plain benign
+ * process:
  *
  *  - adversarial tenants wrap their stream in an AttackStream that
  *    injects the security_test attack catalog (OOB, PAC forging, AHC
@@ -26,132 +22,12 @@
 #define AOS_OS_TENANT_HH
 
 #include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "baselines/system_config.hh"
-#include "common/random.hh"
-#include "compiler/op_counter.hh"
-#include "compiler/pass.hh"
-#include "faultinject/fault_plan.hh"
-#include "faultinject/faulting_stream.hh"
-#include "faultinject/injector.hh"
-#include "os/os_model.hh"
-#include "pa/pa_context.hh"
-#include "workloads/synthetic_workload.hh"
+#include "os/domain.hh"
 
 namespace aos::os {
-
-/** The attack catalog an adversarial tenant draws from. */
-enum class AttackKind : u8
-{
-    kOutOfBounds,  //!< Overflow a validly signed chunk pointer.
-    kPacForge,     //!< Flip a PAC bit: signature under the wrong key.
-    kAhcStrip,     //!< Clear PAC/AHC: dodge the checks entirely.
-    kUseAfterFree, //!< Dangling signed pointer after bndclr.
-    kCrossTenant,  //!< Probe a neighbour's heap range.
-    kNumKinds,
-};
-
-inline constexpr unsigned kNumAttackKinds =
-    static_cast<unsigned>(AttackKind::kNumKinds);
-
-const char *attackKindName(AttackKind kind);
-
-struct AttackStats
-{
-    u64 launched = 0;
-    u64 perKind[kNumAttackKinds] = {};
-    /** Attacks that are detectable by AOS (everything but AHC strip). */
-    u64 detectable = 0;
-};
-
-/**
- * Stream adapter that injects attack micro-ops into an instrumented
- * tenant stream (after the phase mark, at a seeded per-mille rate).
- * Attacks are *extra* ops: the tenant's own program stream is passed
- * through untouched, so its functional behaviour stays comparable to
- * a benign run of the same profile.
- */
-class AttackStream : public ir::InstStream
-{
-  public:
-    AttackStream(ir::InstStream *inner, const pa::PointerLayout &layout,
-                 const alloc::HeapAllocator *alloc, u64 seed,
-                 u64 per_mille);
-
-    /** Neighbour heap ranges for cross-tenant probes. */
-    void
-    setForeignRanges(std::vector<std::pair<Addr, Addr>> ranges)
-    {
-        _foreign = std::move(ranges);
-    }
-
-    bool next(ir::MicroOp &op) override;
-
-    std::string name() const override { return _inner->name(); }
-
-    const AttackStats &stats() const { return _stats; }
-
-  private:
-    void observe(const ir::MicroOp &op);
-    bool buildAttack(ir::MicroOp &op);
-
-    ir::InstStream *_inner;
-    pa::PointerLayout _layout;
-    const alloc::HeapAllocator *_alloc;
-    Rng _rng;
-    u64 _perMille;
-    bool _measuring = false;
-    bool _havePending = false;
-    ir::MicroOp _pending;
-
-    // Last signed heap access seen flowing by: the raw material every
-    // attack is forged from (the attacker perturbs pointers it owns).
-    Addr _lastSigned = 0;
-    Addr _lastChunk = 0;
-    // Recently bndclr'd (freed) signed pointers for UAF attacks.
-    static constexpr unsigned kFreedRing = 8;
-    Addr _freed[kFreedRing] = {};
-    unsigned _freedPos = 0;
-    unsigned _freedCount = 0;
-
-    std::vector<std::pair<Addr, Addr>> _foreign;
-    AttackStats _stats;
-};
-
-/** Per-tenant configuration (one protected process). */
-struct TenantConfig
-{
-    workloads::WorkloadProfile profile;
-    /** Key derivation + workload salt + attack schedule seed. */
-    u64 seed = 1;
-    /**
-     * Steady-phase source ops before the stream ends. Fixed-work mode
-     * (the isolation audit) bounds this so a tenant's functional stats
-     * are comparable against a solo reference; request mode leaves it
-     * 0 (unbounded) and lets the arrival process bound the run.
-     */
-    u64 measureOps = 0;
-    bool adversarial = false;
-    u64 attackPerMille = 30; //!< Attack injection rate (adversarial).
-    FaultPolicy policy = FaultPolicy::kReport;
-
-    // Tenant-targeted fault injection (0 = none).
-    u32 faultTypes = 0;
-    u32 faultCount = 3;
-    u64 faultSeed = 0;
-
-    /**
-     * Address-space slot (heap/global/HBT base selection). The default
-     * uses the scheduler slot the tenant lands in; the isolation audit
-     * pins it so a solo reference run occupies the same addresses as
-     * the fleet run it is compared against.
-     */
-    static constexpr u32 kAutoSlot = 0xffffffffu;
-    u32 addressSlot = kAutoSlot;
-};
 
 /**
  * Functional per-tenant outcome. Everything in the fingerprint() is a
@@ -193,8 +69,6 @@ struct TenantStats
     std::string fingerprint() const;
 };
 
-class Scheduler;
-
 /** One request flowing through the bounded run queue. */
 struct Request
 {
@@ -203,45 +77,30 @@ struct Request
     u64 remaining = 0; //!< Demand not yet served.
 };
 
-/** One protected process: private state plus its instrumented stream. */
-class TenantContext
+/** One protected process: a domain plus scheduler bookkeeping. */
+class TenantContext : public ProtectionDomain
 {
   public:
     /**
      * @param id Scheduler slot (also the default address-space slot).
      * @param config Tenant description.
-     * @param options Machine options (mechanism, PAC width, HBT
-     *        associativity); mech/pacBits drive the pipeline build.
+     * @param options Machine options (mechanism, PAC width, HBT shape,
+     *        elision/verifier toggles).
      * @param pa Shared signing context (the core's key registers).
      */
     TenantContext(u32 id, const TenantConfig &config,
                   const baselines::SystemOptions &options,
                   const pa::PaContext *pa);
-    ~TenantContext();
 
     u32 id() const { return _id; }
-    const TenantConfig &config() const { return _config; }
-    const pa::KeySet &keys() const { return _keys; }
-    OsModel *osModel() { return _os.get(); }
-    workloads::SyntheticWorkload *workload() { return _workload.get(); }
-    faultinject::FaultInjector *injector() { return _injector.get(); }
-    AttackStream *attack() { return _attack.get(); }
-    ir::InstStream *stream() { return _stream; }
     bool terminated() const { return _terminated; }
     bool streamDry() const { return _streamDry; }
     void markStreamDry() { _streamDry = true; }
 
-    u32 addressSlot() const { return _addressSlot; }
-    /** This tenant's heap range [lo, hi) for neighbours' probes. */
-    std::pair<Addr, Addr> heapRange() const;
-
-    /** Warmup bookkeeping (driven by the scheduler's fast-forward). */
-    void spliceCarry(std::vector<ir::MicroOp> ops);
-
     /**
-     * Terminate and tear down: snapshot the functional stats, retire
-     * the OsModel (HBT storage released), and free the workload,
-     * allocator and pipeline. Idempotent; the slot is reusable after.
+     * Terminate and tear down: snapshot the functional stats, then
+     * release() the domain (HBT storage, workload, allocator and
+     * pipeline). Idempotent; the slot is reusable after.
      */
     void retire();
 
@@ -255,31 +114,10 @@ class TenantContext
     u64 requestsShed = 0;
     std::deque<Request> runQueue;
 
-    /** Per-tenant address-space placement (46-bit VA partitioning). */
-    static Addr heapBaseFor(u32 slot);
-    static Addr globalBaseFor(u32 slot);
-    static Addr hbtBaseFor(u32 slot);
-
   private:
-    friend class Scheduler;
-
     u32 _id;
-    TenantConfig _config;
-    u32 _addressSlot;
-    pa::KeySet _keys;
     bool _terminated = false;
     bool _streamDry = false;
-
-    std::unique_ptr<OsModel> _os;
-    std::unique_ptr<workloads::SyntheticWorkload> _workload;
-    std::unique_ptr<compiler::PassManager> _pipeline;
-    compiler::OpCounter *_counter = nullptr;
-    std::unique_ptr<AttackStream> _attack;
-    std::unique_ptr<faultinject::FaultPlan> _faultPlan;
-    std::unique_ptr<faultinject::FaultInjector> _injector;
-    std::unique_ptr<faultinject::FaultingStream> _faulting;
-    std::unique_ptr<ir::CarryStream> _carry;
-    ir::InstStream *_stream = nullptr;
 
     TenantStats _finalStats; //!< Valid once _terminated.
 };

@@ -27,16 +27,9 @@ StreamExecutor::step(const ir::MicroOp &op)
     switch (op.kind) {
       case OpKind::kBndstr: {
         ++_stats.bndstrs;
-        const u64 pac = _layout.pac(op.addr);
-        const Addr raw = _layout.strip(op.addr);
-        auto way = _hbt.insert(pac, bounds::compress(raw, op.size));
-        while (!way) {
-            // bndstr exception: the OS resizes and the store retries.
-            if (!_hbt.resizing())
-                _hbt.beginResize();
-            _hbt.finishResize();
-            way = _hbt.insert(pac, bounds::compress(raw, op.size));
-        }
+        _hbt.insertGrowing(_layout.pac(op.addr),
+                           bounds::compress(_layout.strip(op.addr),
+                                            op.size));
         break;
       }
 

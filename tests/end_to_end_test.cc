@@ -10,6 +10,19 @@
 #include "common/logging.hh"
 #include "core/aos_system.hh"
 
+namespace aos::workloads {
+
+// Print a profile parameter by name, not by address, so the test names
+// that gtest_discover_tests derives from the parameter stay the same
+// from one build and one process to the next.
+void
+PrintTo(const WorkloadProfile *profile, std::ostream *os)
+{
+    *os << profile->name;
+}
+
+} // namespace aos::workloads
+
 namespace aos::core {
 namespace {
 

@@ -8,6 +8,15 @@
 #include "hwcost/sram_model.hh"
 
 namespace aos::hwcost {
+
+// Print a row by its structure name rather than as raw bytes (which
+// include a pointer), so the discovered test names are reproducible.
+void
+PrintTo(const TableOneRow &row, std::ostream *os)
+{
+    *os << row.spec.name;
+}
+
 namespace {
 
 TEST(SramModel, TableOneRowsPresent)

@@ -3,8 +3,7 @@
  * Tests for the bounded MPMC work ring (common/mpmc_ring.hh): the
  * bounded tryPush/tryPop contract (full rejects, empty rejects, FIFO
  * when single-threaded), capacity rounding, and a multi-producer/
- * multi-consumer stress in both the lock-free and the mutex-fallback
- * implementations — every element pushed is popped exactly once.
+ * multi-consumer stress — every element pushed is popped exactly once.
  */
 
 #include <algorithm>
@@ -30,26 +29,22 @@ TEST(MpmcRing, CapacityRoundsUpToPowerOfTwo)
 
 TEST(MpmcRing, BoundedContractBothModes)
 {
-    for (const bool mutexFallback : {false, true}) {
-        SCOPED_TRACE(mutexFallback ? "mutex" : "lock-free");
-        MpmcRing<u32> ring(4, mutexFallback);
-        EXPECT_EQ(ring.lockFree(), !mutexFallback);
+    MpmcRing<u32> ring(4);
 
-        u32 out = 0;
-        EXPECT_FALSE(ring.tryPop(out)); // Empty rejects.
+    u32 out = 0;
+    EXPECT_FALSE(ring.tryPop(out)); // Empty rejects.
 
-        for (u32 i = 0; i < 4; ++i)
-            EXPECT_TRUE(ring.tryPush(i)) << i;
-        EXPECT_FALSE(ring.tryPush(99)); // Full rejects.
-        EXPECT_EQ(ring.size(), 4u);
+    for (u32 i = 0; i < 4; ++i)
+        EXPECT_TRUE(ring.tryPush(i)) << i;
+    EXPECT_FALSE(ring.tryPush(99)); // Full rejects.
+    EXPECT_EQ(ring.size(), 4u);
 
-        for (u32 i = 0; i < 4; ++i) {
-            ASSERT_TRUE(ring.tryPop(out));
-            EXPECT_EQ(out, i); // FIFO when single-threaded.
-        }
-        EXPECT_FALSE(ring.tryPop(out));
-        EXPECT_EQ(ring.size(), 0u);
+    for (u32 i = 0; i < 4; ++i) {
+        ASSERT_TRUE(ring.tryPop(out));
+        EXPECT_EQ(out, i); // FIFO when single-threaded.
     }
+    EXPECT_FALSE(ring.tryPop(out));
+    EXPECT_EQ(ring.size(), 0u);
 }
 
 TEST(MpmcRing, WrapsAcrossManyRefills)
@@ -72,18 +67,16 @@ TEST(MpmcRing, WrapsAcrossManyRefills)
 /**
  * The contract the campaign pool relies on: N producers and M
  * consumers hammering one ring concurrently lose nothing and
- * duplicate nothing. Run in both implementations — the mutex fallback
- * exists precisely to cross-check the lock-free path.
+ * duplicate nothing.
  */
-void
-stress(bool mutexFallback)
+TEST(MpmcRing, StressLockFree)
 {
     constexpr unsigned kProducers = 4;
     constexpr unsigned kConsumers = 4;
     constexpr u32 kPerProducer = 20'000;
     constexpr u32 kTotal = kProducers * kPerProducer;
 
-    MpmcRing<u32> ring(1024, mutexFallback);
+    MpmcRing<u32> ring(1024);
     std::atomic<u32> popped{0};
     std::atomic<u32> bogus{0}; // Values outside [0, kTotal).
     std::vector<std::atomic<u32>> seen(kTotal);
@@ -131,16 +124,6 @@ stress(bool mutexFallback)
     EXPECT_EQ(duplicated, 0u);
     u32 leftover = 0;
     EXPECT_FALSE(ring.tryPop(leftover));
-}
-
-TEST(MpmcRing, StressLockFree)
-{
-    stress(false);
-}
-
-TEST(MpmcRing, StressMutexFallback)
-{
-    stress(true);
 }
 
 } // namespace

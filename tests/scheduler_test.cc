@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "campaign/tenant_audit.hh"
+#include "common/cancel.hh"
 #include "os/scheduler.hh"
 
 namespace aos::os {
@@ -287,6 +288,47 @@ TEST(Scheduler, ExplicitKillShedsQueuedRequests)
     EXPECT_EQ(sched.tenant(slot)->stats().requestsShed, 2u)
         << "queued requests on a killed tenant are shed, not dropped";
     EXPECT_EQ(sched.liveTenants(), 0u);
+}
+
+// Tenants build the pipeline a solo AosSystem run builds, so a fleet
+// honours the static-analysis options: bounds elision drops planned
+// bndstr/bndclr quadruples before the HBT and the op counter see them.
+TEST(Scheduler, FleetHonoursBoundsElision)
+{
+    const auto runTenant = [](bool elide) {
+        SchedulerConfig config = fixedWorkConfig();
+        config.options.aosBoundsElision = elide;
+        config.options.verifyStream = true;
+        Scheduler sched(config);
+        TenantConfig t;
+        t.profile = tinyProfile("elided");
+        t.seed = 81;
+        t.measureOps = 4000;
+        sched.spawn(t);
+        return sched.run().tenants.at(0);
+    };
+    const TenantStats plain = runTenant(false);
+    const TenantStats elided = runTenant(true);
+    EXPECT_LT(elided.hbtInserts, plain.hbtInserts);
+    EXPECT_LT(elided.mixTotal, plain.mixTotal);
+    EXPECT_EQ(elided.violations, 0u);
+    EXPECT_EQ(plain.violations, 0u);
+}
+
+TEST(Scheduler, SpawnUnderCancelledTokenThrows)
+{
+    // Warmup has no cycle loop of its own, so it must poll the token
+    // itself: a cancelled campaign job may not fast-forward a tenant.
+    CancelToken cancel;
+    cancel.requestCancel();
+    SchedulerConfig config = fixedWorkConfig();
+    config.options.cancel = &cancel;
+    Scheduler sched(config);
+    TenantConfig t;
+    t.profile = tinyProfile("cancelled");
+    t.seed = 71;
+    t.measureOps = 1000;
+    EXPECT_THROW(sched.spawn(t), CancelledException);
 }
 
 // ---------------------------------------------------------------------
