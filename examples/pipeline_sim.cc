@@ -30,8 +30,11 @@ parseMechanism(const char *name)
             baselines::mechanismByName(name))
         return spec->mech;
     std::string names;
-    for (const baselines::MechanismSpec &spec : baselines::mechanismSpecs())
-        names += (names.empty() ? "" : "|") + std::string(spec.name);
+    for (const baselines::MechanismSpec &spec :
+         baselines::mechanismSpecs()) {
+        names += names.empty() ? "" : "|";
+        names += spec.name;
+    }
     fatal("unknown mechanism '%s' (%s)", name, names.c_str());
 }
 

@@ -42,11 +42,6 @@ if [ "${AOS_CHECK_SKIP_SANITIZE:-0}" != "1" ]; then
     cmake --preset sanitize
     cmake --build --preset sanitize -j "${JOBS}"
     ctest --preset sanitize -LE slow -j "${JOBS}"
-    # The suite above dispatches QARMA batches through the widest
-    # compiled-in kernel; re-exercise the cipher tests with the scalar
-    # kernel forced so both dispatch paths stay sanitizer-clean.
-    AOS_QARMA_KERNEL=scalar ./build-sanitize/tests/pac_vectors_test
-    AOS_QARMA_KERNEL=scalar ./build-sanitize/tests/qarma_test
 else
     echo "== [3/14] sanitizer pass skipped (AOS_CHECK_SKIP_SANITIZE=1) =="
 fi

@@ -117,12 +117,9 @@ AosBackendPass::transform(const ir::MicroOp &in)
 {
     switch (in.kind) {
       case ir::OpKind::kAosMallocIntr:
-        lowerIntrinsic(in, _pa->pacma(in.chunkBase, _spModifier, in.size));
-        return;
-
       case ir::OpKind::kAosFreeIntr:
-        lowerIntrinsic(in, _pa->pacma(in.chunkBase, _spModifier, 0));
-        return;
+        // transformBatch signs and lowers every intrinsic itself.
+        panic("AOS backend: intrinsic reached per-op transform");
 
       case ir::OpKind::kLoad:
       case ir::OpKind::kStore: {

@@ -139,8 +139,7 @@ FaultInjector::applyPointerFault(const ScheduledFault &fault,
         // higher VA bits never hold heap addresses here.
         const unsigned bit = static_cast<unsigned>(fault.b % 33);
         const Addr corrupt = _env.layout.flipVaBit(original, bit);
-        const FaultOutcome outcome =
-            classifyVaFlip(original, corrupt, op.chunkBase);
+        const FaultOutcome outcome = classifyVaFlip(corrupt, op.chunkBase);
         op.addr = corrupt;
         record(fault.type, outcome, fault.at, bit);
     }
@@ -183,8 +182,7 @@ FaultInjector::classifyMetaFlip(Addr original, Addr corrupt,
 }
 
 FaultOutcome
-FaultInjector::classifyVaFlip(Addr original, Addr corrupt,
-                              Addr chunk_base) const
+FaultInjector::classifyVaFlip(Addr corrupt, Addr chunk_base) const
 {
     const auto &layout = _env.layout;
     const Addr raw = layout.strip(corrupt);

@@ -93,8 +93,7 @@ class FaultInjector : public McuFaultHooks
     void applyPointerFault(const ScheduledFault &fault, ir::MicroOp &op);
     FaultOutcome classifyMetaFlip(Addr original, Addr corrupt,
                                   bool autm_op) const;
-    FaultOutcome classifyVaFlip(Addr original, Addr corrupt,
-                                Addr chunk_base) const;
+    FaultOutcome classifyVaFlip(Addr corrupt, Addr chunk_base) const;
 
     // Metadata faults pick a deterministic occupied victim record.
     void fireHbtCorruption(const ScheduledFault &fault, u64 counter);

@@ -433,11 +433,16 @@ INSTANTIATE_TEST_SUITE_P(
                       McuSweepCase{2, false, false, 4},
                       McuSweepCase{8, true, true, 8}),
     [](const ::testing::TestParamInfo<McuSweepCase> &info) {
+        // Appended piecewise: GCC 12 flags `"p" + std::string` with a
+        // false -Wrestrict at -O3.
         const auto &c = info.param;
-        return "p" + std::to_string(c.ports) +
-               (c.bwb ? "_bwb" : "_nobwb") +
-               (c.forwarding ? "_fwd" : "_nofwd") + "_a" +
-               std::to_string(c.assoc);
+        std::string name = "p";
+        name += std::to_string(c.ports);
+        name += c.bwb ? "_bwb" : "_nobwb";
+        name += c.forwarding ? "_fwd" : "_nofwd";
+        name += "_a";
+        name += std::to_string(c.assoc);
+        return name;
     });
 
 TEST_F(McuTest, EnqueueRejectsNonMemoryOps)

@@ -161,53 +161,34 @@ TEST(PacVectors, PacmaMatchesFrozenVectors)
 
 // ---- batch kernel vs scalar property tests (DESIGN.md §14) --------------
 
-/** Every kernel the build compiled in and this host can run. */
-std::vector<qarma::SlicedKernel>
-availableKernels()
-{
-    using qarma::QarmaSliced;
-    using qarma::SlicedKernel;
-    std::vector<SlicedKernel> kernels = {SlicedKernel::kScalar,
-                                         SlicedKernel::kSliced64};
-    if (QarmaSliced::simdCompiledIn())
-        kernels.push_back(SlicedKernel::kSimd128);
-    if (QarmaSliced::simd512Available())
-        kernels.push_back(SlicedKernel::kSimd512);
-    return kernels;
-}
-
 TEST(PacVectors, BatchEncryptMatchesScalarForRaggedBatches)
 {
-    // Property: for every compiled-in kernel, every S-box family and
-    // round count AOS instantiates, and batch sizes straddling the
-    // lane widths (1..513, full lanes, ragged tails, sub-slicing
-    // sizes), the batch kernel is bit-identical to the scalar cipher.
-    const size_t sizes[] = {1,  2,   7,   15,  16,  17,  63, 64,
-                            65, 100, 127, 128, 129, 200, 511, 513};
+    // Property: for every S-box family and round count AOS
+    // instantiates, and batch sizes straddling each per-chunk cut-off
+    // and lane width (scalar below 64 left, 128 lanes up to 128 left,
+    // 512 lanes above that on an avx512f host), the batch path is
+    // bit-identical to the scalar cipher. Batch size alone reaches
+    // every path.
+    const size_t sizes[] = {1,   63,  64,  65,  127, 128, 129, 200,
+                            255, 256, 257, 341, 511, 512, 513, 1031};
     Rng rng(0xba7c4'0001ull);
-    for (const qarma::SlicedKernel kernel : availableKernels()) {
-        for (const Sbox box : kBoxes) {
-            for (const unsigned rounds : {5u, 7u}) {
-                const qarma::QarmaSliced sliced(box, rounds, kernel);
-                const Qarma64 scalar(box, rounds);
-                const auto ks =
-                    Qarma64::expandKey({rng.next(), rng.next()});
-                for (const size_t n : sizes) {
-                    std::vector<u64> pt(n), tw(n), ct(n);
-                    for (size_t i = 0; i < n; ++i) {
-                        pt[i] = rng.next();
-                        tw[i] = rng.next();
-                    }
-                    sliced.encrypt(pt.data(), tw.data(), n, ks,
-                                   ct.data());
-                    for (size_t i = 0; i < n; ++i) {
-                        ASSERT_EQ(ct[i],
-                                  scalar.encrypt(pt[i], tw[i], ks))
-                            << "kernel=" << static_cast<int>(kernel)
-                            << " box=" << static_cast<int>(box)
-                            << " rounds=" << rounds << " n=" << n
-                            << " lane=" << i;
-                    }
+    for (const Sbox box : kBoxes) {
+        for (const unsigned rounds : {5u, 7u}) {
+            const qarma::QarmaSliced sliced(box, rounds);
+            const Qarma64 scalar(box, rounds);
+            const auto ks = Qarma64::expandKey({rng.next(), rng.next()});
+            for (const size_t n : sizes) {
+                std::vector<u64> pt(n), tw(n), ct(n);
+                for (size_t i = 0; i < n; ++i) {
+                    pt[i] = rng.next();
+                    tw[i] = rng.next();
+                }
+                sliced.encrypt(pt.data(), tw.data(), n, ks, ct.data());
+                for (size_t i = 0; i < n; ++i) {
+                    ASSERT_EQ(ct[i], scalar.encrypt(pt[i], tw[i], ks))
+                        << "box=" << static_cast<int>(box)
+                        << " rounds=" << rounds << " n=" << n
+                        << " lane=" << i;
                 }
             }
         }
@@ -217,13 +198,13 @@ TEST(PacVectors, BatchEncryptMatchesScalarForRaggedBatches)
 TEST(PacVectors, BatchEncryptInPlaceAliasing)
 {
     // ct == pt is documented as legal; the transpose must not read
-    // lanes it already wrote.
+    // lanes it already wrote. The sizes reach each path: scalar only,
+    // one 128-lane chunk, and 512-lane chunks plus a scalar tail.
     Rng rng(0xba7c4'0002ull);
-    for (const qarma::SlicedKernel kernel : availableKernels()) {
-        const qarma::QarmaSliced sliced(Sbox::kSigma1, 7, kernel);
-        const Qarma64 scalar(Sbox::kSigma1, 7);
-        const auto ks = Qarma64::expandKey({rng.next(), rng.next()});
-        const size_t n = 200;
+    const qarma::QarmaSliced sliced(Sbox::kSigma1, 7);
+    const Qarma64 scalar(Sbox::kSigma1, 7);
+    const auto ks = Qarma64::expandKey({rng.next(), rng.next()});
+    for (const size_t n : {size_t{63}, size_t{127}, size_t{1031}}) {
         std::vector<u64> buf(n), tw(n), ref(n);
         for (size_t i = 0; i < n; ++i) {
             buf[i] = rng.next();
@@ -231,8 +212,20 @@ TEST(PacVectors, BatchEncryptInPlaceAliasing)
             ref[i] = scalar.encrypt(buf[i], tw[i], ks);
         }
         sliced.encrypt(buf.data(), tw.data(), n, ks, buf.data());
-        EXPECT_EQ(buf, ref) << "kernel=" << static_cast<int>(kernel);
+        EXPECT_EQ(buf, ref) << "n=" << n;
     }
+}
+
+TEST(PacVectors, WidestKernelFollowsHostAvx512)
+{
+#if defined(__x86_64__)
+    const bool avx512 = __builtin_cpu_supports("avx512f");
+#else
+    const bool avx512 = false;
+#endif
+    EXPECT_EQ(qarma::QarmaSliced().kernel(),
+              avx512 ? qarma::SlicedKernel::kSimd512
+                     : qarma::SlicedKernel::kSimd128);
 }
 
 TEST(PacVectors, BatchPacMatchesScalarPacma)
