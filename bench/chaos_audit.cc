@@ -113,30 +113,18 @@ main()
     campaign::CampaignResult result = sweep.run();
     exitIfInterrupted(result);
 
-    double tallies[4] = {0, 0, 0, 0};
-    double injected = 0;
-    double chaosOps = 0;
-    for (const campaign::ReducerOutput &r : result.reducers) {
-        if (r.name == "chaos_tolerated")
-            tallies[0] = r.value;
-        else if (r.name == "chaos_degraded_retried")
-            tallies[1] = r.value;
-        else if (r.name == "chaos_clean_abort")
-            tallies[2] = r.value;
-        else if (r.name == "chaos_contract_violation")
-            tallies[3] = r.value;
-        else if (r.name == "chaos_injected")
-            injected = r.value;
-        else if (r.name == "chaos_ops")
-            chaosOps = r.value;
-    }
+    const double violations =
+        result.reducer("chaos_contract_violation")->value;
     std::printf("chaos audit: %zu scenarios (seed %llu): "
                 "%.0f tolerated, %.0f degraded+retried, "
                 "%.0f clean aborts, %.0f contract violations "
                 "(%.0f faults injected over %.0f instrumented ops)\n",
                 total, static_cast<unsigned long long>(baseSeed),
-                tallies[0], tallies[1], tallies[2], tallies[3],
-                injected, chaosOps);
+                result.reducer("chaos_tolerated")->value,
+                result.reducer("chaos_degraded_retried")->value,
+                result.reducer("chaos_clean_abort")->value, violations,
+                result.reducer("chaos_injected")->value,
+                result.reducer("chaos_ops")->value);
     emitCampaignJson(result, "chaos_audit");
 
     bool pass = true;
@@ -148,11 +136,11 @@ main()
                          result.count(campaign::JobStatus::kOk));
         pass = false;
     }
-    if (tallies[3] != 0) {
+    if (violations != 0) {
         std::fprintf(stderr,
                      "chaos audit: %.0f contract violation(s) — a "
                      "subsystem mishandled an injected fault\n",
-                     tallies[3]);
+                     violations);
         pass = false;
     }
     if (total < 500) {

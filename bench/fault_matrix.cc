@@ -15,9 +15,14 @@
  * Gates (nonzero exit):
  *   - any job fails or times out;
  *   - any injected fault resolves to simulator_fault;
- *   - AOS coverage falls below PA-only coverage on any
- *     metadata-corruption class (the paper's whole point: the HBT
- *     detects what pointer integrity alone cannot);
+ *   - on any fault class PA-only runs (today the two pointer
+ *     classes), AOS or PA+AOS coverage is not strictly above PA's
+ *     (the paper's whole point: the HBT bounds check detects what
+ *     pointer integrity alone cannot), or PA runs no class at all;
+ *   - on those classes, the AOS or PA+AOS machine reported fewer
+ *     violations than the bounds detections the injector credits
+ *     (the injector classifies a fault by querying the HBT; this
+ *     checks the MCU really raised what the classifier predicts);
  *   - the campaign JSON cannot be written.
  *
  * Build & run:  ./build/bench/fault_matrix
@@ -47,6 +52,8 @@ struct Cell
 {
     u64 injected = 0;
     u64 detected = 0;
+    u64 detectedBounds = 0; //!< Injector-credited bounds detections.
+    u64 reported = 0;       //!< Violations the simulated machine raised.
     u64 silent = 0;
     u64 simFault = 0;
     bool present = false; //!< At least one job ran for this cell.
@@ -115,8 +122,6 @@ main()
     }
 
     Cell grid[faultinject::kNumFaultTypes][kNumMechs] = {};
-    u64 total_injected = 0;
-    u64 total_sim_faults = 0;
     for (size_t i = 0; i < result.jobs.size(); ++i) {
         // Read the flattened stats, not run.faults: a job restored
         // from a checkpoint carries stats only.
@@ -129,11 +134,26 @@ main()
         cell.injected += stat("fault_injected");
         cell.detected +=
             stat("fault_detected_autm") + stat("fault_detected_bounds");
+        cell.detectedBounds += stat("fault_detected_bounds");
+        cell.reported += stat("violations");
         cell.silent += stat("fault_silent");
         cell.simFault += stat("fault_sim_fault");
-        total_injected += stat("fault_injected");
-        total_sim_faults += stat("fault_sim_fault");
     }
+    campaign::computeReducers(
+        result, {{"total_injected", campaign::ReduceOp::kSum,
+                  "fault_injected", nullptr},
+                 {"total_detected_bounds", campaign::ReduceOp::kSum,
+                  "fault_detected_bounds", nullptr},
+                 {"total_detected_autm", campaign::ReduceOp::kSum,
+                  "fault_detected_autm", nullptr},
+                 {"total_silent", campaign::ReduceOp::kSum,
+                  "fault_silent", nullptr},
+                 {"total_sim_faults", campaign::ReduceOp::kSum,
+                  "fault_sim_fault", nullptr}});
+    const auto total_injected =
+        static_cast<u64>(result.reducer("total_injected")->value);
+    const auto total_sim_faults =
+        static_cast<u64>(result.reducer("total_sim_faults")->value);
 
     // Per-cell detection coverage (detected / injected, "-" = class
     // not applicable, "none" = applicable but nothing fired).
@@ -161,17 +181,6 @@ main()
                 static_cast<unsigned long long>(total_injected),
                 static_cast<unsigned long long>(total_sim_faults));
 
-    campaign::computeReducers(
-        result, {{"total_injected", campaign::ReduceOp::kSum,
-                  "fault_injected", nullptr},
-                 {"total_detected_bounds", campaign::ReduceOp::kSum,
-                  "fault_detected_bounds", nullptr},
-                 {"total_detected_autm", campaign::ReduceOp::kSum,
-                  "fault_detected_autm", nullptr},
-                 {"total_silent", campaign::ReduceOp::kSum,
-                  "fault_silent", nullptr},
-                 {"total_sim_faults", campaign::ReduceOp::kSum,
-                  "fault_sim_fault", nullptr}});
     if (!emitCampaignJson(result, "fault_matrix")) {
         std::fprintf(stderr, "fault_matrix: JSON emission failed\n");
         return 1;
@@ -189,25 +198,46 @@ main()
                      static_cast<unsigned long long>(total_sim_faults));
         ok = false;
     }
-    // AOS must detect metadata corruption at least as well as PA-only
-    // (which cannot see it at all — its cells are not even populated).
+    // On every class PA-only runs, the HBT must buy coverage: AOS and
+    // PA+AOS detect strictly more than PA, and the simulated MCU
+    // reports every bounds detection the injector credits. Metadata
+    // classes never run under PA (no HBT to corrupt), so they are not
+    // compared here.
     const unsigned pa = 2, aos = 3, pa_aos = 4;
+    unsigned compared = 0;
     for (unsigned t = 0; t < faultinject::kNumFaultTypes; ++t) {
-        const u32 bit = faultinject::faultBit(static_cast<FaultType>(t));
-        if (!(bit & faultinject::kMetadataFaults))
+        if (!grid[t][pa].present)
             continue;
+        ++compared;
+        const char *type =
+            faultinject::faultTypeName(static_cast<FaultType>(t));
         const double pa_cov = grid[t][pa].coverage();
         for (const unsigned m : {aos, pa_aos}) {
-            if (grid[t][m].coverage() + 1e-9 < pa_cov) {
-                std::fprintf(
-                    stderr,
-                    "GATE: %s coverage %.2f under %s < PA's %.2f\n",
-                    faultinject::faultTypeName(static_cast<FaultType>(t)),
-                    grid[t][m].coverage(),
-                    baselines::mechanismName(kMechs[m]), pa_cov);
+            const Cell &cell = grid[t][m];
+            const char *mech = baselines::mechanismName(kMechs[m]);
+            if (cell.coverage() <= pa_cov) {
+                std::fprintf(stderr,
+                             "GATE: %s coverage %.2f under %s <= PA's "
+                             "%.2f\n",
+                             type, cell.coverage(), mech, pa_cov);
+                ok = false;
+            }
+            if (cell.reported < cell.detectedBounds) {
+                std::fprintf(stderr,
+                             "GATE: %s under %s: %llu bounds detection(s) "
+                             "credited, only %llu violation(s) reported\n",
+                             type, mech,
+                             static_cast<unsigned long long>(
+                                 cell.detectedBounds),
+                             static_cast<unsigned long long>(cell.reported));
                 ok = false;
             }
         }
+    }
+    if (compared == 0) {
+        std::fprintf(stderr, "GATE: no fault class ran under PA — "
+                             "nothing to compare AOS against\n");
+        ok = false;
     }
 
     std::printf("\n%s\n",

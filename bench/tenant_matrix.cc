@@ -5,29 +5,27 @@
  * cross-tenant isolation audit.
  *
  * Matrix family: for each mechanism in {baseline, AOS, PA+AOS} and
- * each fleet size in {1, 2, 4, 8} (capped by AOS_TENANTS), one shared
- * core runs a mixed fleet — rotating benign micro profiles plus one
- * adversarial tenant once the fleet has a neighbour to attack — under
- * a seeded open-loop arrival process with admission control. Each job
- * reports p50/p99 request latency (core cycles), served/shed request
- * accounting, context-switch counts and the benign-tenant violation
- * tally; after the sweep the harness derives the per-mechanism p50/p99
- * overhead against the baseline job of the same fleet size.
+ * each fleet size in {1, 2, 4, 8}, one shared core runs a mixed fleet
+ * — rotating benign micro profiles plus one adversarial tenant once
+ * the fleet has a neighbour to attack — under a seeded open-loop
+ * arrival process with admission control. Each job reports p50/p99
+ * request latency (core cycles), served/shed request accounting,
+ * context-switch counts and the benign-tenant violation tally; after
+ * the sweep the harness derives the per-mechanism p50/p99 overhead
+ * against the baseline job of the same fleet size.
  *
- * Audit family: AOS_TENANT_AUDIT_SCENARIOS (default 500) seeded fleet
- * scenarios through campaign::tenant_audit, batched into campaign
- * jobs. The gate is absolute, chaos_audit-style: every job kOk, at
- * least 500 scenarios, zero fingerprint mismatches (cross-tenant
- * silent corruption), zero benign violations and zero misattributed
- * fault detections — and zero violations on benign tenants of the
- * matrix fleets.
+ * Audit family: 500 seeded fleet scenarios through
+ * campaign::tenant_audit, batched into campaign jobs. The gate is
+ * absolute, chaos_audit-style: every job kOk, at least 500 scenarios,
+ * zero fingerprint mismatches (cross-tenant silent corruption), zero
+ * benign violations and zero misattributed fault detections — and
+ * zero violations on benign tenants of the matrix fleets.
  *
- * Knobs: AOS_TENANTS (fleet-size cap, default 8), AOS_TENANT_QUANTUM
- * (slice length in issued ops, default 2000), AOS_TENANT_ARRIVALS
- * (open-loop arrivals per 1000 cycles, default 3), AOS_TENANT_REQUESTS
- * (requests per matrix job, default 240), AOS_TENANT_AUDIT_SCENARIOS /
- * AOS_TENANT_AUDIT_SEED. Every job is a pure function of its spec, so
- * the canonical JSON is byte-identical at any AOS_CAMPAIGN_JOBS.
+ * Fixed shape: 2000-op slices, 3 open-loop arrivals per 1000 cycles,
+ * 240 requests per matrix job. Knob: AOS_TENANT_AUDIT_SEED rotates
+ * the audit's scenario universe. Every job is a pure function of its
+ * spec, so the canonical JSON is byte-identical at any
+ * AOS_CAMPAIGN_JOBS.
  */
 
 #include "bench/harness.hh"
@@ -54,6 +52,15 @@ constexpr MechSpec kMechs[] = {
 };
 
 constexpr unsigned kFleetSizes[] = {1, 2, 4, 8};
+
+constexpr u64 kQuantumOps = 2000;     //!< Scheduler slice, issued ops.
+constexpr u64 kArrivalsPerKCycle = 3; //!< Open-loop request arrivals.
+constexpr u64 kRequests = 240;        //!< Requests per matrix job.
+
+/** The audit gate's floor, run as batches of kScenariosPerJob. */
+constexpr unsigned kAuditScenarios = 500;
+constexpr unsigned kScenariosPerJob = 10;
+static_assert(kAuditScenarios % kScenariosPerJob == 0);
 
 /** Small rotating tenant profiles: alloc-heavy, memory-heavy, branchy. */
 workloads::WorkloadProfile
@@ -94,16 +101,15 @@ matrixJobName(const char *mech, unsigned tenants)
 }
 
 core::RunResult
-runFleet(const MechSpec &spec, unsigned tenants, u64 quantum,
-         u64 requests, u64 arrivalsPerK, const CancelToken &cancel)
+runFleet(const MechSpec &spec, unsigned tenants, const CancelToken &cancel)
 {
     os::SchedulerConfig config;
     config.options.mech = spec.mech;
     config.options.cancel = &cancel;
-    config.quantumOps = quantum;
+    config.quantumOps = kQuantumOps;
     config.seed = 0x7e'a417 + tenants;
-    config.totalRequests = requests;
-    config.arrivalsPerKCycle = static_cast<double>(arrivalsPerK);
+    config.totalRequests = kRequests;
+    config.arrivalsPerKCycle = static_cast<double>(kArrivalsPerKCycle);
 
     os::Scheduler scheduler(config);
     for (unsigned i = 0; i < tenants; ++i) {
@@ -213,13 +219,6 @@ main()
 {
     setQuiet(true);
 
-    const unsigned maxTenants =
-        static_cast<unsigned>(envU64("AOS_TENANTS", 8));
-    const u64 quantum = envU64("AOS_TENANT_QUANTUM", 2000);
-    const u64 arrivalsPerK = envU64("AOS_TENANT_ARRIVALS", 3);
-    const u64 requests = envU64("AOS_TENANT_REQUESTS", 240);
-    const u64 auditScenarios =
-        envU64("AOS_TENANT_AUDIT_SCENARIOS", 500);
     const u64 auditSeed = envU64("AOS_TENANT_AUDIT_SEED", 0x7e'4a47);
 
     campaign::CampaignOptions options = campaignOptions("tenant_matrix");
@@ -229,37 +228,25 @@ main()
 
     for (const MechSpec &spec : kMechs) {
         for (unsigned tenants : kFleetSizes) {
-            if (tenants > maxTenants)
-                continue;
             Job job;
             job.name = matrixJobName(spec.name, tenants);
             job.profile.name = "tenant_matrix";
             job.mech = spec.mech;
             job.seed = tenants;
-            job.cancellableBody = [spec, tenants, quantum, requests,
-                                   arrivalsPerK](
-                                      const CancelToken &cancel) {
-                return runFleet(spec, tenants, quantum, requests,
-                                arrivalsPerK, cancel);
+            job.cancellableBody = [spec, tenants](const CancelToken &cancel) {
+                return runFleet(spec, tenants, cancel);
             };
             sweep.add(std::move(job));
         }
     }
 
-    constexpr unsigned kScenariosPerJob = 10;
-    const unsigned auditJobs = static_cast<unsigned>(
-        (auditScenarios + kScenariosPerJob - 1) / kScenariosPerJob);
-    for (unsigned i = 0; i < auditJobs; ++i) {
-        const unsigned count = static_cast<unsigned>(
-            std::min<u64>(kScenariosPerJob,
-                          auditScenarios - u64{i} * kScenariosPerJob));
+    for (unsigned i = 0; i < kAuditScenarios / kScenariosPerJob; ++i) {
         Job job;
         job.name = csprintf("audit/%03u", i);
         job.profile.name = "tenant_audit";
         job.seed = auditSeed + u64{i} * kScenariosPerJob;
-        job.cancellableBody = [seed = job.seed,
-                               count](const CancelToken &cancel) {
-            return runAuditBatch(seed, count, cancel);
+        job.cancellableBody = [seed = job.seed](const CancelToken &cancel) {
+            return runAuditBatch(seed, kScenariosPerJob, cancel);
         };
         sweep.add(std::move(job));
     }
@@ -316,8 +303,6 @@ main()
     rule(84);
     for (const MechSpec &spec : kMechs) {
         for (unsigned tenants : kFleetSizes) {
-            if (tenants > maxTenants)
-                continue;
             const JobResult *job =
                 result.find(matrixJobName(spec.name, tenants));
             if (!job || !job->ok())
@@ -335,35 +320,24 @@ main()
         }
     }
 
-    double gates[4] = {0, 0, 0, 0}; // scenarios, failed, attacks, detected
-    double fingerprintMismatches = 0;
-    double benignViolations = 0;
-    double misattributed = 0;
-    double matrixBenignViolations = 0;
-    for (const campaign::ReducerOutput &r : result.reducers) {
-        if (r.name == "audit_scenarios")
-            gates[0] = r.value;
-        else if (r.name == "audit_failed")
-            gates[1] = r.value;
-        else if (r.name == "audit_attacks_launched")
-            gates[2] = r.value;
-        else if (r.name == "audit_attack_detections")
-            gates[3] = r.value;
-        else if (r.name == "audit_fingerprint_mismatches")
-            fingerprintMismatches = r.value;
-        else if (r.name == "audit_benign_violations")
-            benignViolations = r.value;
-        else if (r.name == "audit_misattributed_faults")
-            misattributed = r.value;
-        else if (r.name == "matrix_benign_violations")
-            matrixBenignViolations = r.value;
-    }
+    const double scenarios = result.reducer("audit_scenarios")->value;
+    const double failed = result.reducer("audit_failed")->value;
+    const double fingerprintMismatches =
+        result.reducer("audit_fingerprint_mismatches")->value;
+    const double benignViolations =
+        result.reducer("audit_benign_violations")->value;
+    const double misattributed =
+        result.reducer("audit_misattributed_faults")->value;
+    const double matrixBenignViolations =
+        result.reducer("matrix_benign_violations")->value;
     std::printf("\nisolation audit: %.0f scenarios, %.0f failed "
                 "(%.0f fingerprint mismatches, %.0f benign violations, "
                 "%.0f misattributed faults); adversaries launched %.0f "
                 "attacks, %.0f detected\n",
-                gates[0], gates[1], fingerprintMismatches,
-                benignViolations, misattributed, gates[2], gates[3]);
+                scenarios, failed, fingerprintMismatches, benignViolations,
+                misattributed,
+                result.reducer("audit_attacks_launched")->value,
+                result.reducer("audit_attack_detections")->value);
     emitCampaignJson(result, "tenant_matrix");
 
     bool pass = true;
@@ -374,20 +348,20 @@ main()
                          result.count(campaign::JobStatus::kOk));
         pass = false;
     }
-    if (gates[0] < 500) {
+    if (scenarios < kAuditScenarios) {
         std::fprintf(stderr,
                      "tenant matrix: only %.0f audit scenarios (gate "
-                     "needs >= 500)\n",
-                     gates[0]);
+                     "needs >= %u)\n",
+                     scenarios, kAuditScenarios);
         pass = false;
     }
-    if (gates[1] != 0 || fingerprintMismatches != 0 ||
+    if (failed != 0 || fingerprintMismatches != 0 ||
         benignViolations != 0 || misattributed != 0) {
         std::fprintf(stderr,
                      "tenant matrix: isolation audit FAILED (%.0f "
                      "scenario(s); %.0f mismatches, %.0f benign "
                      "violations, %.0f misattributed)\n",
-                     gates[1], fingerprintMismatches, benignViolations,
+                     failed, fingerprintMismatches, benignViolations,
                      misattributed);
         pass = false;
     }

@@ -359,11 +359,9 @@ computeReducers(CampaignResult &result, const std::vector<Reducer> &reducers)
                 continue;
             if (reducer.filter && !reducer.filter(job))
                 continue;
-            const StatSet &source =
-                reducer.timing ? job.timing : job.stats;
-            if (!source.has(reducer.stat))
+            if (!job.stats.has(reducer.stat))
                 continue;
-            values.push_back(source.value(reducer.stat));
+            values.push_back(job.stats.value(reducer.stat));
         }
         double out = 0;
         if (!values.empty()) {
@@ -389,7 +387,7 @@ computeReducers(CampaignResult &result, const std::vector<Reducer> &reducers)
             }
         }
         result.reducers.push_back({reducer.name, reducer.op, reducer.stat,
-                                   out, values.size(), reducer.timing});
+                                   out, values.size()});
     }
 }
 
@@ -414,6 +412,16 @@ CampaignResult::find(const std::string &jobName) const
 {
     for (const JobResult &r : jobs) {
         if (r.name == jobName)
+            return &r;
+    }
+    return nullptr;
+}
+
+const ReducerOutput *
+CampaignResult::reducer(const std::string &reducerName) const
+{
+    for (const ReducerOutput &r : reducers) {
+        if (r.name == reducerName)
             return &r;
     }
     return nullptr;
@@ -469,22 +477,12 @@ CampaignResult::writeJson(std::ostream &os, bool includeTimings) const
         for (const auto &[key, stat] : r.stats.scalars())
             stats.set(key, stat.value());
         j.set("stats", std::move(stats));
-        if (includeTimings && !r.timing.scalars().empty()) {
-            JsonValue timing = JsonValue::object();
-            for (const auto &[key, stat] : r.timing.scalars())
-                timing.set(key, stat.value());
-            j.set("timing_stats", std::move(timing));
-        }
         jobArray.push(std::move(j));
     }
     root.set("jobs", std::move(jobArray));
 
     JsonValue reducerArray = JsonValue::array();
     for (const ReducerOutput &r : reducers) {
-        // Timing reducers fold wall-derived per-job scalars; like the
-        // scalars themselves they are absent from the canonical form.
-        if (r.timing && !includeTimings)
-            continue;
         JsonValue j = JsonValue::object();
         j.set("name", r.name);
         j.set("op", reduceOpName(r.op));

@@ -102,10 +102,6 @@ struct JobResult
                           //!< checkpointed; read stats instead).
     StatSet stats;        //!< Flattened run stats (mutable: harnesses
                           //!< may inject derived scalars pre-reduce).
-    StatSet timing{"timing"}; //!< Wall-derived scalars (e.g. host
-                              //!< ops/sec). Kept out of stats so the
-                              //!< canonical JSON stays byte-identical
-                              //!< across resumes and worker counts.
 
     bool ok() const { return status == JobStatus::kOk; }
 };
@@ -119,10 +115,8 @@ struct Reducer
 {
     std::string name;
     ReduceOp op = ReduceOp::kGeomean;
-    std::string stat; //!< Key into JobResult::stats (or timing, below).
+    std::string stat; //!< Key into JobResult::stats.
     std::function<bool(const JobResult &)> filter; //!< null = all ok.
-    bool timing = false; //!< Stat lives in JobResult::timing; the
-                         //!< output is emitted only in timing JSON.
 };
 
 struct ReducerOutput
@@ -132,7 +126,6 @@ struct ReducerOutput
     std::string stat;
     double value = 0;
     u64 count = 0; //!< Jobs that contributed.
-    bool timing = false; //!< Excluded from canonical JSON.
 };
 
 struct CampaignOptions
@@ -230,6 +223,7 @@ struct CampaignResult
     bool allOk() const;
     unsigned count(JobStatus status) const;
     const JobResult *find(const std::string &jobName) const;
+    const ReducerOutput *reducer(const std::string &reducerName) const;
 
     /**
      * Serialize as "aos-campaign-v1" JSON. With @p includeTimings

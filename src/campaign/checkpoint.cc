@@ -173,11 +173,6 @@ encodePayload(const JobResult &r)
         putStr(p, key);
         putF64(p, stat.value());
     }
-    putU32(p, static_cast<u32>(r.timing.scalars().size()));
-    for (const auto &[key, stat] : r.timing.scalars()) {
-        putStr(p, key);
-        putF64(p, stat.value());
-    }
     return p;
 }
 
@@ -207,13 +202,6 @@ decodePayload(const unsigned char *data, size_t size, JobResult &r)
         const double value = c.f64v();
         if (c.ok)
             r.stats.scalar(key) = value;
-    }
-    const u32 ntiming = c.u32v();
-    for (u32 i = 0; c.ok && i < ntiming; ++i) {
-        const std::string key = c.str();
-        const double value = c.f64v();
-        if (c.ok)
-            r.timing.scalar(key) = value;
     }
     return c.consumedExactly();
 }

@@ -45,8 +45,12 @@
 
 namespace aos::campaign {
 
-/** Bump when the record or manifest encoding changes. */
-constexpr u32 kCheckpointFormatVersion = 1;
+/**
+ * Bump when the record or manifest encoding changes. Version 2 dropped
+ * the per-record wall-clock stat section; a version-1 directory fails
+ * the manifest check and re-runs from scratch.
+ */
+constexpr u32 kCheckpointFormatVersion = 2;
 
 /** What binds a checkpoint directory to one specific campaign. */
 struct CheckpointManifest
