@@ -1,23 +1,44 @@
 /**
  * @file
- * Elision ablation (new axis, DESIGN.md "Static analysis layer"):
- * PA+AOS with and without AosElidePass across the SPEC profiles.
+ * Elision ablation (DESIGN.md §11): PA+AOS against its two static
+ * elision passes across the SPEC profiles.
  *
- * The pass proves most on-load autm authentications redundant (the
+ * AosElidePass proves most on-load autm authentications redundant (the
  * same chunk's metadata was already authenticated and nothing
- * invalidated the proof), so the elided configuration executes fewer
- * pac-unit micro-ops at identical security: the second table replays
- * the attack-gallery classes through the pipeline with and without
- * elision and shows the detection profiles match.
+ * invalidated the proof). AosBoundsElidePass drops the whole
+ * pacma/bndstr/bndclr/autm quadruple of chunks the dataflow engine
+ * proves non-escaping with every access in bounds. Each profile runs
+ * three timing jobs (base, autm elision, bounds elision) as one
+ * campaign on the work-stealing pool (AOS_CAMPAIGN_JOBS workers); the
+ * bounds-elided job runs with the online stream verifier (SC15-SC18
+ * elided-region contracts). The functional checks after the campaign
+ * stay serial:
  *
- * The per-profile (base, elided) timing pairs execute as one campaign
- * on the work-stealing pool (AOS_CAMPAIGN_JOBS workers); the attack
- * parity replay below stays serial — it is functional, not timed.
+ *   - attack parity: the attack-gallery classes (and an AHC strip of
+ *     a chunk's first loaded pointer) lowered with and without autm
+ *     elision are detected identically;
+ *   - fault parity: a 12-chunk program mixing elidable, escaping,
+ *     out-of-bounds and use-after-free chunks, tried in the
+ *     ObligationChecker under aligned fault injection;
+ *   - obligation court: every profile's bounds-elision plan tried in
+ *     the ObligationChecker (ground-truth parity, obligation replay,
+ *     aligned fault injection).
+ *
+ * Both checker trials fail when no fault could be injected, since a
+ * replay with nothing injected proves nothing.
+ *
+ * Exit status is the gate scripts/check.sh relies on: non-zero when a
+ * job fails, an attack or fault class loses a detection, the checker
+ * rejects a plan, the verifier reports a diagnostic, fewer than two
+ * profiles have at least 10% of bndstr elided, or the JSON cannot be
+ * written.
  *
  * Build & run:  ./build/bench/elision_ablation
  */
 
 #include "bench/harness.hh"
+
+#include <algorithm>
 
 #include "analysis/dataflow/engine.hh"
 #include "compiler/aos_bounds_elide_pass.hh"
@@ -27,6 +48,7 @@
 #include "pa/pa_context.hh"
 #include "staticcheck/obligation_checker.hh"
 #include "staticcheck/stream_executor.hh"
+#include "workloads/synthetic_workload.hh"
 
 using namespace aos;
 using namespace aos::bench;
@@ -34,6 +56,10 @@ using baselines::Mechanism;
 using baselines::SystemOptions;
 
 namespace {
+
+/** Profiles that must clear the 10% bndstr-elision bar. */
+constexpr double kCoverageFloor = 0.10;
+constexpr unsigned kCoverageProfiles = 2;
 
 ir::MicroOp
 src(ir::OpKind kind, Addr addr = 0, Addr chunk = 0, u32 size = 0,
@@ -48,6 +74,17 @@ src(ir::OpKind kind, Addr addr = 0, Addr chunk = 0, u32 size = 0,
     return op;
 }
 
+/** Every op a stream produces, in order. */
+std::vector<ir::MicroOp>
+drain(ir::InstStream &stream)
+{
+    std::vector<ir::MicroOp> out;
+    ir::MicroOp next;
+    while (stream.next(next))
+        out.push_back(next);
+    return out;
+}
+
 /** Lower a source stream through the full PA+AOS pipeline. */
 std::vector<ir::MicroOp>
 lower(std::vector<ir::MicroOp> input, pa::PaContext &pa)
@@ -56,33 +93,45 @@ lower(std::vector<ir::MicroOp> input, pa::PaContext &pa)
     compiler::AosOptPass opt(&source);
     compiler::AosBackendPass backend(&opt, &pa);
     compiler::PaPass pa_pass(&backend, compiler::PaMode::kPaAos);
-    std::vector<ir::MicroOp> out;
-    ir::MicroOp next;
-    while (pa_pass.next(next))
-        out.push_back(next);
-    return out;
+    return drain(pa_pass);
 }
 
-std::vector<ir::MicroOp>
-elideStream(const std::vector<ir::MicroOp> &ops,
-            const pa::PointerLayout &layout)
+/**
+ * Zero the AHC of the first autm and of the pointer load it
+ * authenticates: the attacker strips the signature before its first
+ * use, so only that autm can detect it.
+ */
+void
+stripFirstAhc(std::vector<ir::MicroOp> &ops,
+              const pa::PointerLayout &layout)
 {
-    ir::VectorStream source(ops);
-    compiler::AosElidePass pass(&source, layout);
-    std::vector<ir::MicroOp> out;
-    ir::MicroOp next;
-    while (pass.next(next))
-        out.push_back(next);
-    return out;
+    for (size_t i = 1; i < ops.size(); ++i) {
+        if (ops[i].kind != ir::OpKind::kAutm)
+            continue;
+        for (ir::MicroOp *op : {&ops[i - 1], &ops[i]})
+            op->addr = layout.compose(layout.strip(op->addr),
+                                      layout.pac(op->addr), 0);
+        return;
+    }
 }
 
-/** One attack class: detections with and without elision must match. */
+/**
+ * One attack class: detections with and without elision must match.
+ * @p corrupt, when set, mutates the lowered stream (the attacker
+ * corrupts pointer values, not the program) before elision runs.
+ */
 bool
-attackParity(const char *name, std::vector<ir::MicroOp> source)
+attackParity(const char *name, std::vector<ir::MicroOp> source,
+             void (*corrupt)(std::vector<ir::MicroOp> &,
+                             const pa::PointerLayout &) = nullptr)
 {
     pa::PaContext pa(pa::PointerLayout(16, 46));
-    const auto full = lower(std::move(source), pa);
-    const auto elided = elideStream(full, pa.layout());
+    auto full = lower(std::move(source), pa);
+    if (corrupt)
+        corrupt(full, pa.layout());
+    ir::VectorStream full_stream(full);
+    compiler::AosElidePass elide(&full_stream, pa.layout());
+    const auto elided = drain(elide);
     staticcheck::StreamExecutor full_exec(pa.layout());
     staticcheck::StreamExecutor elided_exec(pa.layout());
     const auto fs = full_exec.run(full);
@@ -97,6 +146,49 @@ attackParity(const char *name, std::vector<ir::MicroOp> source)
     return parity;
 }
 
+/** A bounds-elision plan and the ObligationChecker's verdict on it. */
+struct PlanTrial
+{
+    analysis::dataflow::ElisionPlan plan;
+    staticcheck::ObligationReport report;
+};
+
+/**
+ * Plan bounds elision for a source program, lower it with and without
+ * AosBoundsElidePass, and let the ObligationChecker try the proofs. A
+ * trial that injected no fault tried nothing and fails.
+ */
+PlanTrial
+tryPlan(std::vector<ir::MicroOp> program)
+{
+    pa::PaContext pa(pa::PointerLayout(16, 46));
+    ir::VectorStream analysis_stream(program);
+    analysis::dataflow::DataflowEngine engine(pa.layout());
+    engine.run(analysis_stream);
+    PlanTrial trial{analysis::dataflow::planBoundsElision(engine), {}};
+
+    const auto full = lower(std::move(program), pa);
+    ir::VectorStream full_stream(full);
+    compiler::AosBoundsElidePass belide(&full_stream, pa.layout(),
+                                        &trial.plan);
+    const auto belided = drain(belide);
+    trial.report =
+        staticcheck::ObligationChecker().check(full, belided, trial.plan);
+    if (trial.report.faultsInjectedFull == 0) {
+        trial.report.ok = false;
+        trial.report.failures.push_back(
+            "no fault injected: nothing was tried");
+    }
+    return trial;
+}
+
+void
+printFailures(const staticcheck::ObligationReport &report)
+{
+    for (const auto &failure : report.failures)
+        std::printf("    %s\n", failure.c_str());
+}
+
 } // namespace
 
 int
@@ -109,16 +201,20 @@ main()
                 "bounds elision, %llu ops/run\n\n",
                 static_cast<unsigned long long>(ops));
     std::printf("%-12s %10s %10s %7s %7s %8s %8s %8s %10s %10s %8s "
-                "%8s\n",
+                "%8s %7s\n",
                 "workload", "autm", "autm-el", "rate", "cover", "ipc",
                 "ipc-el", "ipc-bel", "mcq-stall", "mcq-st-el", "norm",
-                "norm-bel");
-    rule(112);
+                "norm-bel", "verify");
+    rule(120);
 
     SystemOptions with_elision;
     with_elision.aosElision = true;
     SystemOptions with_belide;
     with_belide.aosBoundsElision = true;
+    // Online lint with the SC15-SC18 elided-region contracts: any
+    // residual instrumentation or out-of-plan access in the elided
+    // stream is a diagnostic, and diagnostics fail this harness.
+    with_belide.verifyStream = true;
 
     campaign::Campaign sweep(campaignOptions("elision_ablation"));
     const auto &profiles = workloads::specProfiles();
@@ -157,9 +253,8 @@ main()
         return 1;
     }
 
-    GeoAccum norm_geo;
-    GeoAccum rate_geo;
-    GeoAccum belide_norm_geo;
+    unsigned covered = 0;
+    u64 verify_diags = 0;
     for (size_t p = 0; p < profiles.size(); ++p) {
         // Read the flattened stats, not run.*: a job restored from a
         // checkpoint carries stats only.
@@ -168,11 +263,10 @@ main()
         campaign::JobResult &belided_job = result.jobs[3 * p + 2];
         const StatSet &elided = elided_job.stats;
         const StatSet &belided = belided_job.stats;
-        const double elision_rate =
-            elided.has("elide_rate") ? elided.value("elide_rate") : 0.0;
-        const double cover = belided.has("belide_bndstr_rate")
-                                 ? belided.value("belide_bndstr_rate")
-                                 : 0.0;
+        // A missing stat reads 0.
+        const double elision_rate = elided.value("elide_rate");
+        const double cover = belided.value("belide_bndstr_rate");
+        const double verify = belided.value("verify_total");
         const double norm =
             elided.value("cycles") / base.value("cycles");
         const double belide_norm =
@@ -180,25 +274,21 @@ main()
         elided_job.stats.scalar("norm_exec_time") = norm;
         elided_job.stats.scalar("kept_autm_fraction") = 1.0 - elision_rate;
         belided_job.stats.scalar("norm_exec_time_belide") = belide_norm;
-        norm_geo.add(norm);
-        rate_geo.add(1.0 - elision_rate);
-        belide_norm_geo.add(belide_norm);
+        if (cover >= kCoverageFloor)
+            ++covered;
+        verify_diags += static_cast<u64>(verify);
         std::printf("%-12s %10.0f %10.0f %6.1f%% %6.1f%% %8.3f %8.3f "
-                    "%8.3f %10.0f %10.0f %8.3f %8.3f\n",
+                    "%8.3f %10.0f %10.0f %8.3f %8.3f %7.0f\n",
                     profiles[p].name.c_str(), base.value("mix_autms"),
                     elided.value("mix_autms"), 100.0 * elision_rate,
                     100.0 * cover, base.value("ipc"),
                     elided.value("ipc"), belided.value("ipc"),
                     base.value("mcq_full_stalls"),
-                    elided.value("mcq_full_stalls"), norm, belide_norm);
+                    elided.value("mcq_full_stalls"), norm, belide_norm,
+                    verify);
         std::fflush(stdout);
     }
-    rule(112);
-    std::printf("%-12s geomean exec time elided/base: %.3f, "
-                "belide/base: %.3f, geomean kept-autm fraction: "
-                "%.3f\n\n", "",
-                norm_geo.geomean(), belide_norm_geo.geomean(),
-                rate_geo.geomean());
+    rule(120);
 
     const auto elided_only = [](const campaign::JobResult &job) {
         return job.stats.has("norm_exec_time");
@@ -216,6 +306,16 @@ main()
           "norm_exec_time_belide", belided_only},
          {"mean_bndstr_coverage", campaign::ReduceOp::kMean,
           "belide_bndstr_rate", belided_only}});
+    std::printf("%-12s geomean exec time elided/base: %.3f, "
+                "belide/base: %.3f, geomean kept-autm fraction: "
+                "%.3f\n",
+                "", result.reducer("geomean_norm_elided")->value,
+                result.reducer("geomean_norm_belide")->value,
+                result.reducer("geomean_kept_autm_fraction")->value);
+    std::printf("%-12s %u/%zu profiles above %.0f%% bndstr coverage, "
+                "%llu verifier diagnostic(s)\n\n",
+                "", covered, profiles.size(), 100.0 * kCoverageFloor,
+                static_cast<unsigned long long>(verify_diags));
     const bool json_ok = emitCampaignJson(result, "elision_ablation");
 
     // --- Detection parity on the attack-gallery classes ---
@@ -254,6 +354,7 @@ main()
         s.push_back(src(ir::OpKind::kFreeMark, 0, 0x00601000));
         all_parity &= attackParity("invalid-free", std::move(s));
     }
+    all_parity &= attackParity("ahc-stripping", prelude, stripFirstAhc);
 
     std::printf("\n%s\n", all_parity
                               ? "All attacks detected identically with "
@@ -288,30 +389,15 @@ main()
                                       chunk, 8));
         }
 
-        pa::PaContext pa(pa::PointerLayout(16, 46));
-        ir::VectorStream analysis_stream(program);
-        analysis::dataflow::DataflowEngine engine(pa.layout());
-        engine.run(analysis_stream);
-        const auto plan = analysis::dataflow::planBoundsElision(engine);
-
-        const auto full = lower(program, pa);
-        ir::VectorStream full_stream(full);
-        compiler::AosBoundsElidePass belide(&full_stream, pa.layout(),
-                                            &plan);
-        std::vector<ir::MicroOp> belided;
-        ir::MicroOp next;
-        while (belide.next(next))
-            belided.push_back(next);
-
-        staticcheck::ObligationChecker checker;
-        const auto report = checker.check(full, belided, plan);
+        const PlanTrial trial = tryPlan(std::move(program));
+        const auto &report = trial.report;
         fault_ok = report.ok;
 
         std::printf("\nFault-matrix parity under bounds elision "
                     "(%zu/%llu chunks elided, aligned injection):\n",
-                    plan.obligations().size(),
+                    trial.plan.obligations().size(),
                     static_cast<unsigned long long>(
-                        plan.stats().chunksSeen));
+                        trial.plan.stats().chunksSeen));
         std::printf("  %-16s %9s %9s %9s %9s\n", "fault class", "inj",
                     "inj-el", "det", "det-el");
         for (unsigned t = 0; t < faultinject::kNumFaultTypes; ++t) {
@@ -337,11 +423,63 @@ main()
                                   "detections."
                                 : "  FAULT PARITY FAILURE: an elided "
                                   "check was load-bearing!");
-        if (!fault_ok) {
-            for (const auto &failure : report.failures)
-                std::printf("    %s\n", failure.c_str());
-        }
+        if (!fault_ok)
+            printFailures(report);
     }
 
-    return (all_parity && fault_ok && json_ok) ? 0 : 1;
+    // --- Obligation court: every profile's plan tried in the checker ---
+    // Functional, not timed; capped so the serial replay stays a smoke
+    // even when the campaign above runs with a large AOS_SIM_OPS.
+    const u64 replay_ops = std::min<u64>(ops, 40'000);
+    std::printf("\nObligation replay (%llu ops/profile, aligned fault "
+                "injection):\n",
+                static_cast<unsigned long long>(replay_ops));
+    std::printf("  %-12s %6s %5s %9s %9s %9s %9s\n", "workload", "oblig",
+                "viol", "inj-full", "inj-el", "det-full", "det-el");
+
+    bool plans_ok = true;
+    for (const auto &profile : profiles) {
+        workloads::SyntheticWorkload source(profile, replay_ops);
+        const auto report = tryPlan(drain(source)).report;
+        plans_ok &= report.ok;
+        std::printf("  %-12s %6llu %5llu %9llu %9llu %9llu %9llu   %s\n",
+                    profile.name.c_str(),
+                    static_cast<unsigned long long>(
+                        report.obligationsChecked),
+                    static_cast<unsigned long long>(
+                        report.obligationsViolated),
+                    static_cast<unsigned long long>(
+                        report.faultsInjectedFull),
+                    static_cast<unsigned long long>(
+                        report.faultsInjectedElided),
+                    static_cast<unsigned long long>(
+                        report.faultsDetectedFull),
+                    static_cast<unsigned long long>(
+                        report.faultsDetectedElided),
+                    report.ok ? "OK" : "FAIL");
+        if (!report.ok)
+            printFailures(report);
+        std::fflush(stdout);
+    }
+
+    bool ok = json_ok && all_parity && fault_ok && plans_ok;
+    if (covered < kCoverageProfiles) {
+        std::fprintf(stderr,
+                     "elision_ablation: only %u profile(s) above %.0f%% "
+                     "bndstr coverage (need %u)\n",
+                     covered, 100.0 * kCoverageFloor, kCoverageProfiles);
+        ok = false;
+    }
+    if (verify_diags != 0) {
+        std::fprintf(stderr,
+                     "elision_ablation: %llu stream-verifier "
+                     "diagnostic(s) in bounds-elided runs\n",
+                     static_cast<unsigned long long>(verify_diags));
+        ok = false;
+    }
+    std::printf("\n%s\n",
+                ok ? "All elision gates hold: attack, fault and plan "
+                     "parity, verifier and coverage."
+                   : "ELISION GATE FAILURE (see above).");
+    return ok ? 0 : 1;
 }

@@ -3,8 +3,9 @@
 # tests, thread-sanitizer pass over the concurrent subsystems
 # (campaign pool, checkpoint writer, logging), campaign-engine smoke
 # (JSON emission + serial/parallel parity), fault-matrix smoke
-# (graceful-degradation audit under sanitizers), bounds-elision
-# ablation (obligation gates + jobs parity), crash-resume check
+# (graceful-degradation audit under sanitizers), elision ablation
+# (attack/fault parity, obligation court, stream verifier and
+# coverage gates + jobs parity), crash-resume check
 # (SIGKILL mid-campaign + AOS_CAMPAIGN_RESUME byte parity),
 # distributed-fabric check (worker processes via AOS_FABRIC_WORKERS,
 # worker/coordinator SIGKILL, resume + byte parity), chaos-engine
@@ -109,20 +110,22 @@ json_parity "${SMOKE_DIR}/fault1.json" "${SMOKE_DIR}/faultN.json" \
     "fault matrix"
 echo "fault matrix: audit + parity OK"
 
-echo "== [7/13] bounds-elision ablation (obligation gates + parity) =="
-# The benchmark itself exits non-zero if any ObligationChecker gate
-# fails or elision coverage collapses (DESIGN.md §11); the wrapper adds
-# the determinism contract on top.
+echo "== [7/13] elision ablation (parity, court, verifier, coverage) =="
+# The benchmark itself exits non-zero if autm elision changes an
+# attack's detections, bounds elision loses a fault detection, the
+# ObligationChecker rejects a profile's plan, the stream verifier flags
+# a bounds-elided run, or bndstr coverage collapses (DESIGN.md §11);
+# the wrapper adds the determinism contract on top.
 AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=1 \
-    AOS_CAMPAIGN_JSON="${SMOKE_DIR}/belide1.json" \
-    ./build/bench/bounds_elision
+    AOS_CAMPAIGN_JSON="${SMOKE_DIR}/elide1.json" \
+    ./build/bench/elision_ablation
 AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=4 \
-    AOS_CAMPAIGN_JSON="${SMOKE_DIR}/belideN.json" \
-    ./build/bench/bounds_elision
-grep -q '"schema": "aos-campaign-v1"' "${SMOKE_DIR}/belide1.json"
-json_parity "${SMOKE_DIR}/belide1.json" "${SMOKE_DIR}/belideN.json" \
-    "bounds elision"
-echo "bounds elision: gates + parity OK"
+    AOS_CAMPAIGN_JSON="${SMOKE_DIR}/elideN.json" \
+    ./build/bench/elision_ablation
+grep -q '"schema": "aos-campaign-v1"' "${SMOKE_DIR}/elide1.json"
+json_parity "${SMOKE_DIR}/elide1.json" "${SMOKE_DIR}/elideN.json" \
+    "elision ablation"
+echo "elision ablation: gates + parity OK"
 
 echo "== [8/13] crash-resume (SIGKILL mid-campaign, resume, parity) =="
 # Kill a checkpointed campaign once its first record is durable, resume

@@ -35,8 +35,6 @@ executeJob(const Job &job, const CancelToken &cancel)
 {
     if (job.cancellableBody)
         return job.cancellableBody(cancel);
-    if (job.body)
-        return job.body();
     baselines::SystemOptions options = job.options;
     options.mech = job.mech;
     if (job.ops)
@@ -285,9 +283,9 @@ executeJobAttempts(const std::vector<Job> &jobs, u32 idx, JobResult &r,
             core::RunResult run = executeJob(job, cancel);
             r.wallMs = 1e3 * secondsSince(t0, Clock::now());
             if (timeoutSec > 0 && r.wallMs > 1e3 * timeoutSec) {
-                // Post-hoc fallback for plain body jobs that never
-                // poll the token; a pathological config would just
-                // time out again, so no retry.
+                // Post-hoc fallback for cancellableBody jobs that
+                // never poll the token; a pathological config would
+                // just time out again, so no retry.
                 r.status = JobStatus::kTimeout;
                 r.error = csprintf(
                     "attempt exceeded %.3fs wall-clock budget "

@@ -17,11 +17,11 @@
  *    CancelToken deadline that simulation jobs (and cancellableBody
  *    jobs) poll at op granularity, so an over-budget attempt is
  *    preempted cooperatively, recorded as kTimeout with its partial
- *    wall time, and not retried. Plain body jobs that never poll fall
- *    back to the old post-hoc classification. A process shutdown
- *    request (SIGINT/SIGTERM via CampaignOptions::cancel) likewise
- *    preempts the running jobs, which are recorded as kCancelled and
- *    left for a checkpoint resume. Either way the rest of the sweep
+ *    wall time, and not retried. Bodies that never poll fall back to
+ *    post-hoc classification. A process shutdown request
+ *    (SIGINT/SIGTERM via CampaignOptions::cancel) likewise preempts
+ *    the running jobs, which are recorded as kCancelled and left for
+ *    a checkpoint resume. Either way the rest of the sweep
  *    keeps running (or, for shutdown, winds down cleanly).
  *  - Crash safety: with CampaignOptions::checkpointDir set (usually
  *    via AOS_CAMPAIGN_RESUME) every completed job is durably appended
@@ -64,16 +64,10 @@ struct Job
 
     /**
      * Test/extension hook: when set, runs instead of the AosSystem
-     * simulation (exception capture, retry and timeout still apply;
-     * the timeout falls back to post-hoc classification since a plain
-     * body has no cancellation points).
-     */
-    std::function<core::RunResult()> body;
-
-    /**
-     * Like body, but handed the per-attempt CancelToken so it can poll
+     * simulation, handed the per-attempt CancelToken so it can poll
      * cancellation points and be preempted like a simulation job.
-     * Takes precedence over body when both are set.
+     * Exception capture, retry and timeout still apply; a body that
+     * never polls falls back to post-hoc timeout classification.
      */
     std::function<core::RunResult(const CancelToken &)> cancellableBody;
 };

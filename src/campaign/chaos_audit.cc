@@ -480,7 +480,7 @@ auditCampaignAlloc(u64 seed, const CancelToken &cancel)
             Job job;
             job.name = csprintf("body-%u", j);
             job.seed = seeds[j];
-            job.body = [s = seeds[j]]() {
+            job.cancellableBody = [s = seeds[j]](const CancelToken &) {
                 core::RunResult run;
                 run.workload = "chaos-alloc";
                 Rng body(s);

@@ -364,7 +364,6 @@ identityHash(const CampaignOptions &options, const std::vector<Job> &jobs)
         h.u32v(static_cast<u32>(job.mech));
         h.u64v(job.seed);
         h.u64v(job.ops ? job.ops : job.options.measureOps);
-        h.b(static_cast<bool>(job.body));
         h.b(static_cast<bool>(job.cancellableBody));
         const baselines::SystemOptions &o = job.options;
         h.b(o.boundsCompression);

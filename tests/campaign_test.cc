@@ -33,7 +33,7 @@ bodyJob(const std::string &name, u64 cycles)
 {
     Job job;
     job.name = name;
-    job.body = [cycles] {
+    job.cancellableBody = [cycles](const CancelToken &) {
         core::RunResult r;
         r.workload = "body";
         r.core.cycles = cycles;
@@ -105,7 +105,7 @@ TEST(CampaignRobustness, ExceptionIsCapturedAndSweepContinues)
     Campaign c(options);
     Job bad;
     bad.name = "bad";
-    bad.body = []() -> core::RunResult {
+    bad.cancellableBody = [](const CancelToken &) -> core::RunResult {
         throw std::runtime_error("deliberate failure");
     };
     c.add(std::move(bad));
@@ -129,7 +129,8 @@ TEST(CampaignRobustness, BoundedRetryRecoversFlakyJob)
     Campaign c(options);
     Job flaky;
     flaky.name = "flaky";
-    flaky.body = [attempts]() -> core::RunResult {
+    flaky.cancellableBody =
+        [attempts](const CancelToken &) -> core::RunResult {
         if (attempts->fetch_add(1) == 0)
             throw std::runtime_error("transient");
         core::RunResult r;
@@ -153,7 +154,7 @@ TEST(CampaignRobustness, PersistentFailureExhaustsAttempts)
     Campaign c(options);
     Job bad;
     bad.name = "always-bad";
-    bad.body = []() -> core::RunResult {
+    bad.cancellableBody = [](const CancelToken &) -> core::RunResult {
         throw std::logic_error("permanent");
     };
     c.add(std::move(bad));
@@ -166,8 +167,8 @@ TEST(CampaignRobustness, PersistentFailureExhaustsAttempts)
 
 TEST(CampaignRobustness, OverBudgetAttemptClassifiedAsTimeout)
 {
-    // A plain body never polls the CancelToken, so this exercises the
-    // post-hoc fallback classification.
+    // This body ignores its CancelToken, so this exercises the post-hoc
+    // fallback classification.
     setQuiet(true);
     CampaignOptions options;
     options.timeoutSec = 0.005;
@@ -175,7 +176,7 @@ TEST(CampaignRobustness, OverBudgetAttemptClassifiedAsTimeout)
     Campaign c(options);
     Job slow;
     slow.name = "slow";
-    slow.body = []() -> core::RunResult {
+    slow.cancellableBody = [](const CancelToken &) -> core::RunResult {
         std::this_thread::sleep_for(std::chrono::milliseconds(30));
         return core::RunResult();
     };
@@ -252,7 +253,7 @@ TEST(CampaignPool, ManyJobsAllRunExactlyOnce)
     for (int i = 0; i < kJobs; ++i) {
         Job job;
         job.name = csprintf("job%d", i);
-        job.body = [runs, i] {
+        job.cancellableBody = [runs, i](const CancelToken &) {
             runs->fetch_add(1);
             core::RunResult r;
             r.core.cycles = static_cast<u64>(i);
@@ -311,7 +312,7 @@ TEST(CampaignAggregation, MergedStatSetSumsOkJobs)
     c.add(bodyJob("b", 20));
     Job bad;
     bad.name = "bad";
-    bad.body = []() -> core::RunResult {
+    bad.cancellableBody = [](const CancelToken &) -> core::RunResult {
         throw std::runtime_error("nope");
     };
     c.add(std::move(bad));
@@ -348,7 +349,7 @@ TEST(CampaignJson, ErrorsAndStatusAreEmitted)
     Campaign c(CampaignOptions{});
     Job bad;
     bad.name = "bad";
-    bad.body = []() -> core::RunResult {
+    bad.cancellableBody = [](const CancelToken &) -> core::RunResult {
         throw std::runtime_error("json \"quoted\" message");
     };
     c.add(std::move(bad));

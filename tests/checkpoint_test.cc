@@ -511,7 +511,8 @@ TEST(CheckpointResume, FailedJobsAreRestoredAsFailed)
         Campaign c(options);
         Job bad;
         bad.name = "bad";
-        bad.body = [attempts]() -> core::RunResult {
+        bad.cancellableBody =
+            [attempts](const CancelToken &) -> core::RunResult {
             attempts->fetch_add(1);
             throw std::runtime_error("deterministic failure");
         };

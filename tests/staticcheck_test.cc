@@ -7,6 +7,8 @@
  * AosSystem work end to end.
  */
 
+#include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -590,6 +592,45 @@ TEST_F(SystemStaticcheckTest, ElisionReducesDynamicAutms)
     const auto set = elided.toStatSet();
     EXPECT_TRUE(set.has("elide_rate"));
     EXPECT_GT(set.value("elide_autm_elided"), 0.0);
+}
+
+/** A run's flattened stats minus the verifier's own verify_* keys. */
+std::map<std::string, double>
+statsWithoutVerify(const core::RunResult &run)
+{
+    const StatSet set = run.toStatSet();
+    std::map<std::string, double> out;
+    for (const auto &[name, scalar] : set.scalars()) {
+        if (name.rfind("verify_", 0) != 0)
+            out[name] = scalar.value();
+    }
+    for (const auto &[name, dist] : set.distributions()) {
+        out[name + ".count"] = static_cast<double>(dist.count());
+        out[name + ".mean"] = dist.mean();
+        out[name + ".min"] = dist.min();
+        out[name + ".max"] = dist.max();
+    }
+    return out;
+}
+
+TEST_F(SystemStaticcheckTest, VerifierDoesNotPerturbTiming)
+{
+    // The stream verifier observes the lowered stream on its way to
+    // the core; it must not change a single timing or mix stat, since
+    // bench/elision_ablation times its bounds-elided job with it on.
+    // gcc is the profile with the highest bndstr elision coverage.
+    baselines::SystemOptions options;
+    options.mech = baselines::Mechanism::kPaAos;
+    options.measureOps = 20000;
+    options.aosBoundsElision = true;
+    const auto plain = runOne(options, "gcc");
+
+    options.verifyStream = true;
+    const auto verified = runOne(options, "gcc");
+
+    ASSERT_TRUE(verified.verified);
+    EXPECT_GT(plain.belide.bndstrElided, 0u);
+    EXPECT_EQ(statsWithoutVerify(plain), statsWithoutVerify(verified));
 }
 
 } // namespace
