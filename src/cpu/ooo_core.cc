@@ -44,7 +44,7 @@ OoOCore::execLatency(const ir::MicroOp &op, Tick now)
         _mem->dataAccess(_layout.strip(op.addr), true);
         return 1;
       case ir::OpKind::kBranch: {
-        const Addr pc = 0x400000 + static_cast<Addr>(op.branchId) * 4;
+        const Addr pc = branchPc(op.branchId);
         const bool predicted = _tage.predict(pc);
         _tage.update(pc, op.taken);
         ++_stats.branches;
@@ -126,8 +126,8 @@ OoOCore::issueOne(const ir::MicroOp &op, Tick now)
     if (++_fetchedInLine >= 16) {
         _fetchedInLine = 0;
         _fetchPc += 64;
-        if (_fetchPc >= 0x400000 + _config.codeFootprint)
-            _fetchPc = 0x400000;
+        if (_fetchPc >= kCodeBase + _config.codeFootprint)
+            _fetchPc = kCodeBase;
         _mem->fetchAccess(_fetchPc);
     }
 

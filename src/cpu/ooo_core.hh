@@ -129,7 +129,7 @@ class OoOCore
     void
     observeBranch(u32 branch_id, bool taken)
     {
-        const Addr pc = 0x400000 + static_cast<Addr>(branch_id) * 4;
+        const Addr pc = branchPc(branch_id);
         _tage.predict(pc);
         _tage.update(pc, taken);
     }
@@ -144,6 +144,16 @@ class OoOCore
         bool isStore = false;
         bool inMcq = false;
     };
+
+    /** Start of the modelled code region (fetch and branch PCs). */
+    static constexpr Addr kCodeBase = 0x400000;
+
+    /** The PC that branch @p branch_id trains the predictor with. */
+    static Addr
+    branchPc(u32 branch_id)
+    {
+        return kCodeBase + static_cast<Addr>(branch_id) * 4;
+    }
 
     bool issueOne(const ir::MicroOp &op, Tick now);
     void commit(Tick now);
@@ -161,7 +171,7 @@ class OoOCore
     u64 _nextSeq = 1;
     Tick _fetchBlockedUntil = 0;
     Tick _mcqStallCooldownUntil = 0;
-    Addr _fetchPc = 0x400000;
+    Addr _fetchPc = kCodeBase;
     unsigned _fetchedInLine = 0;
 
     CoreStats _stats;

@@ -1,52 +1,36 @@
 #include "cpu/tage.hh"
 
 #include "common/bitfield.hh"
+#include "common/logging.hh"
 
 namespace aos::cpu {
 
-Tage::Tage()
-    : _bimodal(u64{1} << kBaseBits, 2), _histLen{5, 15, 44, 130},
-      _history(kHistoryBits, false)
+Tage::Tage() : _bimodal(u64{1} << kBaseBits, 2)
 {
-    for (auto &table : _tables)
-        table.resize(u64{1} << kTableBits);
-}
-
-u64
-Tage::foldedHistory(unsigned table, unsigned out_bits) const
-{
-    // XOR-fold the most recent histLen bits down to out_bits.
-    u64 folded = 0;
-    u64 chunk = 0;
-    unsigned filled = 0;
-    const unsigned len = _histLen[table];
-    for (unsigned i = 0; i < len; ++i) {
-        chunk = (chunk << 1) | (_history[i] ? 1 : 0);
-        if (++filled == out_bits) {
-            folded ^= chunk;
-            chunk = 0;
-            filled = 0;
-        }
+    for (unsigned t = 0; t < kNumTables; ++t) {
+        _tables[t].resize(u64{1} << kTableBits);
+        _indexFold[t] = FoldedHistory(kHistLen[t], kTableBits);
+        _tagFold[t] = FoldedHistory(kHistLen[t], kTagBits);
+        _tagFoldShort[t] = FoldedHistory(kHistLen[t], kTagBits - 1);
     }
-    if (filled)
-        folded ^= chunk;
-    return folded & mask(out_bits);
 }
 
-u64
-Tage::tableIndex(Addr pc, unsigned table) const
+void
+Tage::pushHistory(bool taken)
 {
-    const u64 h = foldedHistory(table, kTableBits);
-    return ((pc >> 2) ^ (pc >> (kTableBits - table)) ^ h) &
-           mask(kTableBits);
-}
-
-u16
-Tage::tableTag(Addr pc, unsigned table) const
-{
-    const u64 h = foldedHistory(table, kTagBits);
-    const u64 h2 = foldedHistory(table, kTagBits - 1) << 1;
-    return static_cast<u16>(((pc >> 2) ^ h ^ h2) & mask(kTagBits));
+    // The folds read the bit crossing from full into partial chunk
+    // before the history shifts under them.
+    const auto push = [&](FoldedHistory &f) {
+        f.push(taken, f.fullBits ? historyBit(f.fullBits - 1) : taken);
+    };
+    for (unsigned t = 0; t < kNumTables; ++t) {
+        push(_indexFold[t]);
+        push(_tagFold[t]);
+        push(_tagFoldShort[t]);
+    }
+    for (unsigned w = kHistoryWords - 1; w > 0; --w)
+        _history[w] = (_history[w] << 1) | (_history[w - 1] >> 63);
+    _history[0] = (_history[0] << 1) | static_cast<u64>(taken);
 }
 
 bool
@@ -61,14 +45,21 @@ Tage::predict(Addr pc)
     bool pred = base_pred;
     bool alt = base_pred;
 
+    for (unsigned t = 0; t < kNumTables; ++t) {
+        _index[t] = static_cast<u16>(
+            ((pc >> 2) ^ (pc >> (kTableBits - t)) ^ _indexFold[t].value()) &
+            mask(kTableBits));
+        _tag[t] = static_cast<u16>(((pc >> 2) ^ _tagFold[t].value() ^
+                                    (_tagFoldShort[t].value() << 1)) &
+                                   mask(kTagBits));
+    }
+
     // Longest history match provides; second longest is the alternate.
     for (int t = kNumTables - 1; t >= 0; --t) {
-        const u64 idx = tableIndex(pc, t);
-        const TaggedEntry &entry = _tables[t][idx];
-        if (entry.valid && entry.tag == tableTag(pc, t)) {
+        const TaggedEntry &entry = _tables[t][_index[t]];
+        if (entry.valid && entry.tag == _tag[t]) {
             if (_providerTable < 0) {
                 _providerTable = t;
-                _providerIndex = idx;
                 _providerPred = entry.ctr >= 0;
             } else {
                 alt = entry.ctr >= 0;
@@ -79,7 +70,7 @@ Tage::predict(Addr pc)
 
     if (_providerTable >= 0) {
         ++_stats.providerTagged;
-        const TaggedEntry &entry = _tables[_providerTable][_providerIndex];
+        const TaggedEntry &entry = providerEntry();
         const bool weak = entry.ctr == 0 || entry.ctr == -1;
         // Newly allocated, weak entries may be less reliable than the
         // alternate prediction (TAGE's use_alt_on_na heuristic).
@@ -94,17 +85,17 @@ Tage::predict(Addr pc)
     }
 
     _lastPrediction = pred;
+    _predicted = true;
     return pred;
 }
 
 void
 Tage::update(Addr pc, bool taken)
 {
-    if (pc != _lastPc) {
-        // Out-of-sync train (shouldn't happen with the core's usage);
-        // just refresh the context.
-        predict(pc);
-    }
+    panic_if(!_predicted || pc != _lastPc,
+             "Tage::update(%#llx) without a matching predict()",
+             static_cast<unsigned long long>(pc));
+    _predicted = false;
 
     if (_lastPrediction != taken)
         ++_stats.mispredicts;
@@ -113,7 +104,7 @@ Tage::update(Addr pc, bool taken)
 
     // Update the provider (or the bimodal table).
     if (_providerTable >= 0) {
-        TaggedEntry &entry = _tables[_providerTable][_providerIndex];
+        TaggedEntry &entry = providerEntry();
         if (taken && entry.ctr < 3)
             ++entry.ctr;
         else if (!taken && entry.ctr > -4)
@@ -149,11 +140,10 @@ Tage::update(Addr pc, bool taken)
         bool allocated = false;
         for (unsigned t = _providerTable + 1; t < kNumTables && !allocated;
              ++t) {
-            const u64 idx = tableIndex(pc, t);
-            TaggedEntry &entry = _tables[t][idx];
+            TaggedEntry &entry = _tables[t][_index[t]];
             if (!entry.valid || entry.useful == 0) {
                 entry.valid = true;
-                entry.tag = tableTag(pc, t);
+                entry.tag = _tag[t];
                 entry.ctr = taken ? 0 : -1;
                 entry.useful = 0;
                 allocated = true;
@@ -162,7 +152,7 @@ Tage::update(Addr pc, bool taken)
         if (!allocated) {
             // Decay usefulness so future allocations can succeed.
             for (unsigned t = _providerTable + 1; t < kNumTables; ++t) {
-                TaggedEntry &entry = _tables[t][tableIndex(pc, t)];
+                TaggedEntry &entry = _tables[t][_index[t]];
                 if (entry.useful > 0)
                     --entry.useful;
             }
@@ -177,10 +167,7 @@ Tage::update(Addr pc, bool taken)
         }
     }
 
-    // Shift the outcome into global history (newest at index 0).
-    for (unsigned i = kHistoryBits - 1; i > 0; --i)
-        _history[i] = _history[i - 1];
-    _history[0] = taken;
+    pushHistory(taken);
 }
 
 } // namespace aos::cpu
