@@ -1,7 +1,8 @@
 /**
  * @file
  * Microbenchmark: heap-allocator model throughput (malloc/free churn
- * across size classes), which bounds Table II replay speed.
+ * across size classes, and the malloc-only build-up of a large live
+ * set), which bounds Table II replay speed.
  */
 
 #include <benchmark/benchmark.h>
@@ -53,8 +54,35 @@ BM_ChurnSteadyState(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 
+/**
+ * Fast-forward build-up of omnetpp's live set: malloc-only, so every
+ * chunk is carved from the top of the heap in ascending address order.
+ */
+void
+BM_WarmBuildUp(benchmark::State &state)
+{
+    const u64 live_target = static_cast<u64>(state.range(0));
+    HeapAllocator heap;
+    heap.reserveLive(live_target);
+    for (auto _ : state) {
+        // Emptying the tables is not build-up work; time the mallocs.
+        state.PauseTiming();
+        heap.reset();
+        Rng rng(1);
+        state.ResumeTiming();
+        for (u64 i = 0; i < live_target; ++i)
+            benchmark::DoNotOptimize(heap.malloc(32 + rng.below(481)));
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(live_target));
+}
+
 } // namespace
 
 BENCHMARK(BM_MallocFreeFastbin);
 BENCHMARK(BM_MallocFreeLarge);
 BENCHMARK(BM_ChurnSteadyState)->Arg(1000)->Arg(100000)->ArgName("live");
+BENCHMARK(BM_WarmBuildUp)
+    ->Arg(700000)
+    ->ArgName("live")
+    ->Unit(benchmark::kMillisecond);

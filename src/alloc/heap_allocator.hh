@@ -163,7 +163,7 @@ class HeapAllocator
     // next chunk lives at base + chunkSize and the previous one at
     // base - prevSize, so the map needs no address ordering and the
     // malloc/free hot paths stay O(1).
-    FlatU64Map<Chunk> _chunks;
+    FlatU64Map<Chunk, HeapAddrIndex> _chunks;
     // chunkSize of the chunk ending at _top (prevSize for the next
     // carve); 0 while the heap is empty.
     u64 _topPrevSize = 0;
@@ -172,11 +172,11 @@ class HeapAllocator
     // LIFO fastbins of chunk bases, by size class.
     std::vector<Addr> _fastbins[kNumFastbins];
     // Forged headers planted by forgeChunkHeader (user addr -> size).
-    FlatU64Map<u64> _forged;
+    FlatU64Map<u64, HeapAddrIndex> _forged;
 
     // Live user addresses with O(1) random access and removal.
     std::vector<Addr> _liveList;
-    FlatU64Map<u64> _liveIndex;
+    FlatU64Map<u64, HeapAddrIndex> _liveIndex;
 
     AllocStats _stats;
 };

@@ -8,25 +8,75 @@
  * allocation, pointer chasing and rehash storms there (it was ~40% of
  * a throughput-bench profile); this map stores slots inline in one
  * power-of-two array with linear probing and backward-shift deletion,
- * so lookups are a multiply, a shift and a short scan.
+ * so lookups are an index computation and a short scan.
+ *
+ * The slot index is a policy type, as std::unordered_map's Hash is.
+ * FibonacciIndex (the default) scatters keys over the table, which
+ * suits dense integers such as sequence numbers. HeapAddrIndex keeps
+ * 16-byte-aligned heap addresses in address order, so a heap built by
+ * an ascending carve streams through the table instead of missing the
+ * host cache on every insert.
  *
  * Semantics match the std::unordered_map subset the simulator uses:
  * find/operator[]/erase/count/clear/size. No iteration is provided on
- * purpose — hot-path tables must not grow order-dependent behavior.
+ * purpose — hot-path tables must not grow order-dependent behavior, and
+ * so the choice of index can never reach a simulated statistic.
  * Key 0 is valid (kept in a dedicated side slot).
  */
 
 #ifndef AOS_COMMON_FLAT_MAP_HH
 #define AOS_COMMON_FLAT_MAP_HH
 
+#include <bit>
 #include <cstddef>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace aos {
 
-template <typename V>
+/**
+ * Largest log2(table size) a FlatU64Map reaches. A slot is at least 16
+ * bytes, so a table of 2^58 slots would already span 2^62 bytes.
+ */
+inline constexpr unsigned kFlatMapMaxBits = 58;
+
+/**
+ * Default slot index: Fibonacci hashing, the top @p bits of the key
+ * times 2^64 / phi. The multiply spreads dense or low-entropy keys
+ * (sequence numbers) evenly across the table. Any index that drops low
+ * key bits would pile runs of such keys onto one slot.
+ */
+struct FibonacciIndex
+{
+    static size_t
+    index(u64 key, unsigned bits)
+    {
+        return static_cast<size_t>((key * 0x9e3779b97f4a7c15ull) >>
+                                   (64 - bits));
+    }
+};
+
+/**
+ * Slot index for 16-byte-aligned heap addresses: key >> 4 puts
+ * consecutive chunks in neighbouring slots, and xoring in the wrap
+ * count (key >> (4 + bits)) spreads keys that alias modulo the table
+ * size, such as power-of-two strides or heaps a power of two apart.
+ */
+struct HeapAddrIndex
+{
+    static_assert(4 + kFlatMapMaxBits < 64,
+                  "the wrap-count shift must stay below the key width");
+
+    static size_t
+    index(u64 key, unsigned bits)
+    {
+        return static_cast<size_t>((key >> 4) ^ (key >> (4 + bits)));
+    }
+};
+
+template <typename V, typename Index = FibonacciIndex>
 class FlatU64Map
 {
   public:
@@ -47,16 +97,18 @@ class FlatU64Map
             }
             return _zeroVal;
         }
-        if ((_size + 1) * 4 > _slots.size() * 3)
+        size_t i = slotFor(key);
+        if (_slots[i].key == key)
+            return _slots[i].val;
+        // Grow only on a real insert: assigning to a present key must
+        // not double a table that sits at the load threshold.
+        if ((_size + 1) * 4 > _slots.size() * 3) {
             rehash(_slots.size() * 2);
-        size_t i = idealIndex(key);
-        while (_slots[i].key != 0 && _slots[i].key != key)
-            i = (i + 1) & _mask;
-        if (_slots[i].key == 0) {
-            _slots[i].key = key;
-            _slots[i].val = V{};
-            ++_size;
+            i = slotFor(key);
         }
+        _slots[i].key = key;
+        _slots[i].val = V{};
+        ++_size;
         return _slots[i].val;
     }
 
@@ -66,13 +118,8 @@ class FlatU64Map
     {
         if (key == 0)
             return _hasZero ? &_zeroVal : nullptr;
-        size_t i = idealIndex(key);
-        while (_slots[i].key != 0) {
-            if (_slots[i].key == key)
-                return &_slots[i].val;
-            i = (i + 1) & _mask;
-        }
-        return nullptr;
+        Slot &s = _slots[slotFor(key)];
+        return s.key == key ? &s.val : nullptr;
     }
 
     const V *
@@ -94,12 +141,9 @@ class FlatU64Map
             --_size;
             return 1;
         }
-        size_t i = idealIndex(key);
-        while (_slots[i].key != key) {
-            if (_slots[i].key == 0)
-                return 0;
-            i = (i + 1) & _mask;
-        }
+        size_t i = slotFor(key);
+        if (_slots[i].key != key)
+            return 0;
         --_size;
         // Backward-shift deletion: pull displaced entries over the
         // hole so probe chains never see a tombstone.
@@ -141,6 +185,21 @@ class FlatU64Map
     size_t size() const { return _size; }
     bool empty() const { return _size == 0; }
 
+    /** Number of slots in the table (a power of two). */
+    size_t capacity() const { return _slots.size(); }
+
+    /**
+     * Slots a lookup of nonzero @p key scans past its ideal slot: a
+     * present key's displacement, or an absent key's distance to the
+     * empty slot that ends its probe chain.
+     */
+    size_t
+    probeLength(u64 key) const
+    {
+        const size_t home = idealIndex(key);
+        return (slotFor(key) - home) & _mask;
+    }
+
   private:
     struct Slot
     {
@@ -161,10 +220,17 @@ class FlatU64Map
     size_t
     idealIndex(u64 key) const
     {
-        // Fibonacci hashing; the multiply spreads low-entropy keys
-        // (aligned addresses, dense sequence numbers) across the table.
-        return static_cast<size_t>((key * 0x9e3779b97f4a7c15ull) >> 32) &
-               _mask;
+        return Index::index(key, _bits) & _mask;
+    }
+
+    /** Slot holding nonzero @p key, or the empty slot ending its chain. */
+    size_t
+    slotFor(u64 key) const
+    {
+        size_t i = idealIndex(key);
+        while (_slots[i].key != 0 && _slots[i].key != key)
+            i = (i + 1) & _mask;
+        return i;
     }
 
     /** True when @p k lies cyclically in (i, j]. */
@@ -177,9 +243,14 @@ class FlatU64Map
     void
     rehash(size_t new_cap)
     {
+        const unsigned bits = static_cast<unsigned>(std::countr_zero(new_cap));
+        panic_if(bits > kFlatMapMaxBits,
+                 "FlatU64Map table of 2^%u slots exceeds 2^%u", bits,
+                 kFlatMapMaxBits);
         std::vector<Slot> old = std::move(_slots);
         _slots.assign(new_cap, Slot{});
         _mask = new_cap - 1;
+        _bits = bits;
         for (const Slot &s : old) {
             if (s.key == 0)
                 continue;
@@ -192,6 +263,7 @@ class FlatU64Map
 
     std::vector<Slot> _slots;
     size_t _mask = 0;
+    unsigned _bits = 0;
     size_t _size = 0;
     bool _hasZero = false;
     V _zeroVal{};

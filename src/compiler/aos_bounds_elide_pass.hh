@@ -90,7 +90,7 @@ class AosBoundsElidePass : public Pass
     const analysis::dataflow::ElisionPlan *_plan;
 
     /** Allocation ordinal per base; must mirror DataflowEngine. */
-    FlatU64Map<u32> _gen;
+    FlatU64Map<u32, HeapAddrIndex> _gen;
     /** Bases whose *current* instance is elided. */
     std::unordered_set<Addr> _elidedOpen;
     /** Elided bases between their bndclr and their re-sign pacma. */

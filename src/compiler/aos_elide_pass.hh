@@ -88,7 +88,7 @@ class AosElidePass : public Pass
 
     pa::PointerLayout _layout;
     // chunk base -> metadata of the value last proven authentic.
-    FlatU64Map<u64> _authed;
+    FlatU64Map<u64, HeapAddrIndex> _authed;
     ElideStats _stats;
 };
 

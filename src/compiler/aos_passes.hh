@@ -92,7 +92,7 @@ class AosBackendPass : public Pass
     pa::PacBatch _batch;
     // chunk base -> signed pointer for all signed (incl. freed) chunks.
     // Hit on every heap load/store; flat map keeps it off the profile.
-    FlatU64Map<Addr> _signedPtrs;
+    FlatU64Map<Addr, HeapAddrIndex> _signedPtrs;
     // One-entry memo over _signedPtrs for the load/store rewrite:
     // accesses arrive in long same-chunk runs (a chunk walked word by
     // word), so the common case is a compare instead of a hash probe.
